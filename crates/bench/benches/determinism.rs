@@ -6,7 +6,7 @@ use marshal_bench::{criterion_group, criterion_main, Criterion};
 use marshal_core::{BuildOptions, JobKind};
 use marshal_firmware::BootBinary;
 use marshal_image::FsImage;
-use marshal_sim_functional::{LaunchMode, Qemu, Spike};
+use marshal_sim_functional::{Functional, LaunchMode, SimKind};
 use marshal_sim_rtl::{FireSim, HardwareConfig};
 
 fn bench_determinism(c: &mut Criterion) {
@@ -45,7 +45,7 @@ fn bench_determinism(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("qemu_functional", |b| {
         b.iter(|| {
-            Qemu::new()
+            Functional::new(SimKind::Qemu)
                 .launch(&boot, Some(&disk), LaunchMode::Run)
                 .unwrap()
                 .instructions
@@ -53,7 +53,7 @@ fn bench_determinism(c: &mut Criterion) {
     });
     group.bench_function("spike_functional", |b| {
         b.iter(|| {
-            Spike::new()
+            Functional::new(SimKind::Spike)
                 .launch(&boot, Some(&disk), LaunchMode::Run)
                 .unwrap()
                 .instructions

@@ -162,6 +162,39 @@ pub fn scratch(tag: &str) -> PathBuf {
     d
 }
 
+/// Appends rows to a `BENCH_*.json` file at the workspace root, creating
+/// it on first run. The file is a JSON array of flat objects, one per
+/// line; every row starts with `unix_time` and `bench`, followed by the
+/// caller's fields, given pre-rendered as `"key": value` pairs.
+/// Hand-rolled JSON: the build environment is offline, so no serde.
+pub fn append_bench_rows(file: &str, bench: &str, rows: impl IntoIterator<Item = String>) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(file);
+    let stamp = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_secs())
+        .unwrap_or(0);
+    let mut entries: Vec<String> = std::fs::read_to_string(&path)
+        .unwrap_or_default()
+        .lines()
+        .map(str::trim)
+        .filter(|l| l.starts_with('{'))
+        .map(|l| l.trim_end_matches(',').to_owned())
+        .collect();
+    for fields in rows {
+        entries.push(format!(
+            "{{\"unix_time\": {stamp}, \"bench\": \"{bench}\", {fields}}}"
+        ));
+    }
+    let body = format!("[\n  {}\n]\n", entries.join(",\n  "));
+    if let Err(e) = std::fs::write(&path, body) {
+        eprintln!("note: could not record {}: {e}", path.display());
+    } else {
+        println!("  recorded {} entries in {}", entries.len(), path.display());
+    }
+}
+
 /// Sets up the bundled workloads and a builder rooted at `root`.
 pub fn builder_in(root: &std::path::Path) -> marshal_core::Builder {
     let setup = marshal_workloads::setup(root).expect("setup workloads");

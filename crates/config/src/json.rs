@@ -1,10 +1,13 @@
-//! A from-scratch JSON parser.
+//! The workspace's one JSON implementation: a from-scratch parser and the
+//! string escaper every JSON writer shares.
 //!
 //! Full RFC 8259 syntax plus two ergonomic extensions FireMarshal users
 //! expect from hand-written configuration files: `//` and `#` comments, and
-//! trailing commas in arrays/objects.
+//! trailing commas in arrays/objects. Run journals (`marshal-trace`) are
+//! read with the same parser.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use crate::error::ConfigError;
 use crate::value::Value;
@@ -31,6 +34,32 @@ pub fn parse(text: &str) -> Result<Value, ConfigError> {
         return Err(p.error("trailing characters after document"));
     }
     Ok(v)
+}
+
+/// Appends `s` to `out` as a JSON string literal: quotes, backslashes and
+/// control characters escaped, everything else verbatim.
+///
+/// ```rust
+/// let mut out = String::new();
+/// marshal_config::json::write_string("a\"b\n", &mut out);
+/// assert_eq!(out, r#""a\"b\n""#);
+/// ```
+pub fn write_string(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 struct Parser<'a> {

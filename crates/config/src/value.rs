@@ -3,6 +3,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::json::write_string;
+
 /// A parsed configuration value.
 ///
 /// Objects keep key order-independent (sorted) storage so serialisation is
@@ -108,7 +110,7 @@ impl Value {
                     out.push_str(&v.to_string());
                 }
             }
-            Value::Str(s) => write_json_string(s, out),
+            Value::Str(s) => write_string(s, out),
             Value::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -125,7 +127,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_json_string(k, out);
+                    write_string(k, out);
                     out.push(':');
                     v.write_json(out);
                 }
@@ -133,22 +135,6 @@ impl Value {
             }
         }
     }
-}
-
-fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl fmt::Display for Value {

@@ -285,9 +285,14 @@ impl Builder {
         name: &str,
         options: &BuildOptions,
     ) -> Result<BuildProducts, MarshalError> {
+        // The phases before graph execution (resolve, host-init, plan,
+        // preflight) get spans of their own, so the journal attributes the
+        // whole build, not just its execution.
+        let span = self.recorder.span("resolve", &[]);
         let resolved = resolve_workload(&self.search, name)?;
         let jobs = expand_jobs(&self.search, &resolved)?;
         let source_dir = self.source_dir(name);
+        drop(span);
         // Fail fast on a malformed --runners list, before any planning.
         let runner_specs = match &options.runners {
             Some(list) => {
@@ -335,6 +340,7 @@ impl Builder {
             .as_ref()
             .filter(|_| !options.dry_run)
         {
+            let _span = self.recorder.span("host-init", &[]);
             let dir = source_dir.clone().ok_or_else(|| {
                 MarshalError::Other(format!(
                     "workload `{name}` has host-init but no source directory"
@@ -354,6 +360,9 @@ impl Builder {
         }
 
         // --- per-job tasks -------------------------------------------------
+        let span = self
+            .recorder
+            .span("plan", &[("jobs", &jobs.len().to_string())]);
         let mut job_plans = Vec::new();
         for job in &jobs {
             let plan = self.plan_job(
@@ -366,13 +375,16 @@ impl Builder {
             )?;
             job_plans.push(plan);
         }
+        drop(span);
 
         let mut warnings = std::mem::take(&mut self.open_warnings);
         // Detect pool damage *before* execution: a torn manifest or a
         // manifest referencing a pruned/quarantined blob is removed here,
         // so the owning level reruns this very build instead of poisoning
         // its consumers with a load failure.
+        let span = self.recorder.span("preflight", &[]);
         preflight_pool(&store, &job_plans, &mut warnings);
+        drop(span);
 
         let roots: Vec<&str> = job_plans.iter().map(|p| p.final_task.as_str()).collect();
         let threads = options
@@ -501,7 +513,7 @@ impl Builder {
             .input(bin_name.as_bytes())
             .input(&bin_input_hash(source_dir, &bin_name))
             .output(&bin_path)
-            .claim(crate::integrity::sidecar_path(&bin_path));
+            .output(crate::integrity::sidecar_path(&bin_path));
             graph.add(task)?;
             return Ok(JobPlan {
                 name: qualified,
@@ -593,7 +605,7 @@ impl Builder {
             .dep(chain_task.clone())
             .input(format!("{:?}{:?}{:?}", spec.run, spec.command, spec.rootfs_size).as_bytes())
             .output(&disk_path)
-            .claim(crate::integrity::sidecar_path(&disk_path))
+            .output(crate::integrity::sidecar_path(&disk_path))
             .claim(job_image_path)
             .claim_tree(objects_dir)
             .input(qualified.as_bytes());
@@ -630,7 +642,7 @@ impl Builder {
             .input(format!("{:?}", spec.firmware).as_bytes())
             .input(&[options.no_disk as u8])
             .output(&boot_path)
-            .claim(crate::integrity::sidecar_path(&boot_path))
+            .output(crate::integrity::sidecar_path(&boot_path))
             // Diskless boots load the job image, and a load may quarantine
             // or heal pool blobs — writes under the shared pool tree.
             .claim_tree(objects_dir);
@@ -895,10 +907,6 @@ fn preflight_level(
     let Ok(bytes) = std::fs::read(&path) else {
         return;
     };
-    if !marshal_image::sniff_manifest(&bytes) {
-        // Legacy flat image file: self-contained, nothing to cross-check.
-        return;
-    }
     let problem = match marshal_image::manifest_refs(&bytes) {
         Err(e) => Some(format!("torn or malformed manifest ({e})")),
         Ok(refs) => refs

@@ -3,9 +3,9 @@
 //!
 //! Each level of a workload's inheritance chain persists as a small
 //! manifest; the actual file bytes live once in the blob pool, shared
-//! across levels, jobs, and sibling workloads. Legacy flat `MIMG` level
-//! files (pre-existing workdirs) are still readable — the loader sniffs
-//! the magic. Tasks that persist images through the store must declare a
+//! across levels, jobs, and sibling workloads. A level file that is not a
+//! manifest is treated as a malformed one: removed, and the level rebuilt.
+//! Tasks that persist images through the store must declare a
 //! [`marshal_depgraph::Task::claim_tree`] over [`ImageStore::objects_dir`],
 //! since blob paths are content-derived and unknown at planning time.
 //!
@@ -198,8 +198,7 @@ impl ImageStore {
 
     /// Loads the image for a level key. Cache hits are O(1) — images are
     /// copy-on-write, so the returned clone shares every allocation with
-    /// the cached copy. Misses read the manifest (or a legacy flat `MIMG`
-    /// file) from disk.
+    /// the cached copy. Misses read the manifest from disk.
     ///
     /// A load that trips on pool damage self-defends: a corrupt blob is
     /// quarantined and (with a remote configured) re-fetched, and when the

@@ -7,8 +7,9 @@
 //! actionable [`MarshalError::Corrupt`] instead of surfacing later as a
 //! mysterious boot failure or — worse — a silently wrong simulation.
 //!
-//! Sidecars are advisory for backwards compatibility: an artifact without
-//! one loads unverified (pre-existing work directories keep working).
+//! The sidecar is a declared task output, so a build whose sidecar went
+//! missing reruns the task that writes it; [`read_verified`] rejects an
+//! artifact without one.
 
 use std::path::{Path, PathBuf};
 
@@ -38,21 +39,24 @@ pub fn write_artifact(path: &Path, bytes: &[u8]) -> Result<(), String> {
         .map_err(|e| format!("write {}: {e}", sidecar.display()))
 }
 
-/// Reads an artifact, verifying it against its checksum sidecar when one
-/// exists.
+/// Reads an artifact, verifying it against its checksum sidecar.
 ///
 /// # Errors
 ///
 /// [`MarshalError::Io`] when the artifact is unreadable,
-/// [`MarshalError::Corrupt`] when its bytes no longer match the recorded
-/// checksum (the message points at `marshal build --force` to rebuild).
+/// [`MarshalError::Corrupt`] when its sidecar is missing or its bytes no
+/// longer match the recorded checksum (the message points at
+/// `marshal build` to rebuild).
 pub fn read_verified(path: &Path) -> Result<Vec<u8>, MarshalError> {
     let bytes = std::fs::read(path)
         .map_err(|e| MarshalError::Io(format!("read {}: {e}", path.display())))?;
     let sidecar = sidecar_path(path);
     let Ok(expected) = std::fs::read_to_string(&sidecar) else {
-        // No (readable) sidecar: legacy artifact, load as-is.
-        return Ok(bytes);
+        return Err(MarshalError::Corrupt(format!(
+            "{} has no checksum sidecar ({}); rerun `marshal build` to rebuild it",
+            path.display(),
+            sidecar.display()
+        )));
     };
     let expected = expected.trim();
     let actual = Fingerprint::of(&bytes).to_string();
@@ -105,11 +109,16 @@ mod tests {
     }
 
     #[test]
-    fn missing_sidecar_is_tolerated() {
-        let dir = tmpdir("legacy");
+    fn missing_sidecar_is_rejected() {
+        let dir = tmpdir("no-sidecar");
         let p = dir.join("bin.mexe");
-        std::fs::write(&p, b"old artifact").unwrap();
-        assert_eq!(read_verified(&p).unwrap(), b"old artifact");
+        std::fs::write(&p, b"unverifiable").unwrap();
+        let err = read_verified(&p).unwrap_err();
+        let MarshalError::Corrupt(msg) = err else {
+            panic!("expected Corrupt, got {err:?}");
+        };
+        assert!(msg.contains("bin.mexe.fp"), "{msg}");
+        assert!(msg.contains("marshal build"), "actionable: {msg}");
         std::fs::remove_dir_all(dir).unwrap();
     }
 }

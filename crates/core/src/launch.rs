@@ -187,10 +187,9 @@ pub fn run_checkpointed(
         }
     };
     span.end_with(&[("outcome", outcome)]);
-    rec.instant(
-        &format!("checkpoint-{outcome}"),
-        &[("key", &key_text), ("job", context)],
-    );
+    // The span just closed names the job and key; the instant does not
+    // repeat them.
+    rec.instant(&format!("checkpoint-{outcome}"), &[]);
     let (run, captured) = backend.run_resumed(loaded, mode, resume.as_ref())?;
     if let Some(snap) = &captured {
         match store.save(key, boot_fp, disk_fp, snap) {

@@ -109,11 +109,6 @@ fn scrub_pool_inner(
             let Ok(bytes) = std::fs::read(&path) else {
                 continue;
             };
-            if !marshal_image::sniff_manifest(&bytes) {
-                // Legacy flat image files carry their own payload; blob
-                // verification does not apply to them.
-                continue;
-            }
             report.manifests_checked += 1;
             if let Err(e) = marshal_image::manifest_refs(&bytes) {
                 if std::fs::remove_file(&path).is_ok() {

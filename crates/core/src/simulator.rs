@@ -17,7 +17,7 @@
 
 use marshal_config::WorkloadSpec;
 use marshal_depgraph::{Fingerprint, Hasher128};
-use marshal_sim_functional::{BootSnapshot, LaunchMode, Qemu, SimConfig, SimResult, Spike};
+use marshal_sim_functional::{BootSnapshot, Functional, LaunchMode, SimConfig, SimKind, SimResult};
 use marshal_sim_rtl::{FireSim, HardwareConfig, PerfReport};
 
 use crate::error::MarshalError;
@@ -111,45 +111,59 @@ pub struct BackendOptions {
     pub hw: Option<HardwareConfig>,
 }
 
-/// The QEMU-like functional backend (the historical `launch` default).
-pub struct QemuSim {
-    qemu: Qemu,
+/// A functional backend: `qemu` (the historical `launch` default) or
+/// `spike`, including custom golden-model binaries (`pfa-spike`). One
+/// implementation; the [`SimKind`] profile picks the registry name, the
+/// log prefix, the banner, and the spec fields that configure it.
+pub struct FunctionalSim {
+    sim: Functional,
 }
 
-impl QemuSim {
-    /// Configures QEMU from a job spec: custom binary (`qemu`), extra
-    /// arguments (`qemu-args`), watchdog budget.
-    pub fn for_spec(spec: &WorkloadSpec, opts: &BackendOptions) -> QemuSim {
-        let mut qemu = match &spec.qemu {
-            Some(binary) => Qemu::with_binary(binary),
-            None => Qemu::new(),
+impl FunctionalSim {
+    /// Configures a functional profile from a job spec: custom binary
+    /// (`qemu` / `spike`), extra arguments (`qemu-args` / `spike-args`),
+    /// watchdog budget.
+    pub fn for_spec(profile: SimKind, spec: &WorkloadSpec, opts: &BackendOptions) -> FunctionalSim {
+        let (binary, args) = match profile {
+            SimKind::Spike => (&spec.spike, &spec.spike_args),
+            _ => (&spec.qemu, &spec.qemu_args),
         };
-        qemu = qemu.with_args(&spec.qemu_args);
-        if let Some(n) = opts.timeout_insts {
-            qemu = qemu.with_budget(n);
+        let mut sim = match binary {
+            Some(binary) => Functional::with_binary(profile, binary),
+            None => Functional::new(profile),
         }
-        QemuSim { qemu }
+        .with_args(args);
+        if let Some(n) = opts.timeout_insts {
+            sim = sim.with_budget(n);
+        }
+        FunctionalSim { sim }
     }
 }
 
-impl Simulator for QemuSim {
+impl Simulator for FunctionalSim {
     fn name(&self) -> &'static str {
-        "qemu"
+        match self.sim.config().kind {
+            SimKind::Spike => "spike",
+            _ => "qemu",
+        }
     }
 
     fn log_prefixes(&self) -> &'static [&'static str] {
-        // Banner lines read "qemu-system-riscv64: ...".
-        &["qemu"]
+        // Banner lines read "qemu-system-riscv64: ..." or "spike: ...".
+        match self.sim.config().kind {
+            SimKind::Spike => &["spike"],
+            _ => &["qemu"],
+        }
     }
 
     fn features(&self) -> Vec<String> {
-        self.qemu.config().features.clone()
+        self.sim.config().features.clone()
     }
 
     fn run(&self, job: &LoadedJob, mode: LaunchMode) -> Result<SimRun, MarshalError> {
         let result = match job {
-            LoadedJob::Linux { boot, disk } => self.qemu.launch(boot, disk.as_ref(), mode)?,
-            LoadedJob::Bare { bin } => self.qemu.launch_bare(bin)?,
+            LoadedJob::Linux { boot, disk } => self.sim.launch(boot, disk.as_ref(), mode)?,
+            LoadedJob::Bare { bin } => self.sim.launch_bare(bin)?,
         };
         Ok(SimRun {
             result,
@@ -159,8 +173,9 @@ impl Simulator for QemuSim {
 
     fn config_fingerprint(&self) -> Fingerprint {
         let mut h = Hasher128::new();
-        h.update_field(b"qemu");
-        hash_sim_config(&mut h, self.qemu.config());
+        h.update_field(self.name().as_bytes());
+        h.update_field(self.sim.binary().as_bytes());
+        hash_sim_config(&mut h, self.sim.config());
         h.finish()
     }
 
@@ -173,85 +188,7 @@ impl Simulator for QemuSim {
         match job {
             LoadedJob::Linux { boot, disk } => {
                 let (result, captured) =
-                    self.qemu
-                        .launch_checkpointed(boot, disk.as_ref(), mode, resume)?;
-                Ok((
-                    SimRun {
-                        result,
-                        report: None,
-                    },
-                    captured,
-                ))
-            }
-            LoadedJob::Bare { .. } => Ok((self.run(job, mode)?, None)),
-        }
-    }
-}
-
-/// The Spike-like functional backend, including custom golden-model
-/// binaries (`pfa-spike`).
-pub struct SpikeSim {
-    spike: Spike,
-}
-
-impl SpikeSim {
-    /// Configures Spike from a job spec: custom binary (`spike`), extra
-    /// arguments (`spike-args`), watchdog budget.
-    pub fn for_spec(spec: &WorkloadSpec, opts: &BackendOptions) -> SpikeSim {
-        let mut spike = match &spec.spike {
-            Some(binary) => Spike::with_binary(binary),
-            None => Spike::new(),
-        };
-        spike = spike.with_args(&spec.spike_args);
-        if let Some(n) = opts.timeout_insts {
-            spike = spike.with_budget(n);
-        }
-        SpikeSim { spike }
-    }
-}
-
-impl Simulator for SpikeSim {
-    fn name(&self) -> &'static str {
-        "spike"
-    }
-
-    fn log_prefixes(&self) -> &'static [&'static str] {
-        &["spike"]
-    }
-
-    fn features(&self) -> Vec<String> {
-        self.spike.config().features.clone()
-    }
-
-    fn run(&self, job: &LoadedJob, mode: LaunchMode) -> Result<SimRun, MarshalError> {
-        let result = match job {
-            LoadedJob::Linux { boot, disk } => self.spike.launch(boot, disk.as_ref(), mode)?,
-            LoadedJob::Bare { bin } => self.spike.launch_bare(bin)?,
-        };
-        Ok(SimRun {
-            result,
-            report: None,
-        })
-    }
-
-    fn config_fingerprint(&self) -> Fingerprint {
-        let mut h = Hasher128::new();
-        h.update_field(b"spike");
-        h.update_field(self.spike.binary().as_bytes());
-        hash_sim_config(&mut h, self.spike.config());
-        h.finish()
-    }
-
-    fn run_resumed(
-        &self,
-        job: &LoadedJob,
-        mode: LaunchMode,
-        resume: Option<&BootSnapshot>,
-    ) -> Result<(SimRun, Option<BootSnapshot>), MarshalError> {
-        match job {
-            LoadedJob::Linux { boot, disk } => {
-                let (result, captured) =
-                    self.spike
+                    self.sim
                         .launch_checkpointed(boot, disk.as_ref(), mode, resume)?;
                 Ok((
                     SimRun {
@@ -290,7 +227,8 @@ impl RtlSim {
         let hw = match &opts.hw {
             Some(hw) => hw.clone(),
             None => {
-                let functional_features = SpikeSim::for_spec(spec, opts).features();
+                let functional_features =
+                    FunctionalSim::for_spec(SimKind::Spike, spec, opts).features();
                 if functional_features.iter().any(|f| f == "pfa") {
                     HardwareConfig::rocket().with_remote(marshal_sim_rtl::RemoteMemConfig::Pfa(
                         marshal_sim_rtl::pfa::RemoteTimings::default(),
@@ -411,8 +349,12 @@ pub fn simulator_for(
     opts: &BackendOptions,
 ) -> Result<Box<dyn Simulator>, MarshalError> {
     match resolve_backend(name) {
-        Some("qemu") => Ok(Box::new(QemuSim::for_spec(spec, opts))),
-        Some("spike") => Ok(Box::new(SpikeSim::for_spec(spec, opts))),
+        Some("qemu") => Ok(Box::new(FunctionalSim::for_spec(SimKind::Qemu, spec, opts))),
+        Some("spike") => Ok(Box::new(FunctionalSim::for_spec(
+            SimKind::Spike,
+            spec,
+            opts,
+        ))),
         Some("rtl") => Ok(Box::new(RtlSim::for_spec(spec, opts))),
         _ => Err(MarshalError::Other(format!(
             "unknown simulator backend `{name}` (try {})",
@@ -429,8 +371,8 @@ pub fn all_log_prefixes() -> Vec<&'static str> {
     let spec = WorkloadSpec::default();
     let opts = BackendOptions::default();
     let backends: [Box<dyn Simulator>; 3] = [
-        Box::new(QemuSim::for_spec(&spec, &opts)),
-        Box::new(SpikeSim::for_spec(&spec, &opts)),
+        Box::new(FunctionalSim::for_spec(SimKind::Qemu, &spec, &opts)),
+        Box::new(FunctionalSim::for_spec(SimKind::Spike, &spec, &opts)),
         Box::new(RtlSim::for_spec(&spec, &opts)),
     ];
     let mut prefixes = Vec::new();
@@ -537,15 +479,19 @@ mod tests {
                 .unwrap()
                 .config_fingerprint()
         );
-        // A custom golden-model binary changes the key.
-        let mut pfa = spec();
-        pfa.spike = Some("pfa-spike".to_owned());
-        assert_ne!(
-            fps[1],
-            simulator_for("spike", &pfa, &opts)
-                .unwrap()
-                .config_fingerprint()
-        );
+        // A custom binary changes the key, on either functional profile.
+        let mut custom = spec();
+        custom.qemu = Some("pfa-qemu-system-riscv64".to_owned());
+        custom.spike = Some("pfa-spike".to_owned());
+        for (i, name) in ["qemu", "spike"].into_iter().enumerate() {
+            assert_ne!(
+                fps[i],
+                simulator_for(name, &custom, &opts)
+                    .unwrap()
+                    .config_fingerprint(),
+                "{name}"
+            );
+        }
         // Hardware configuration changes the RTL key.
         let hw = BackendOptions {
             hw: Some(HardwareConfig::boom_tage()),

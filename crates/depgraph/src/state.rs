@@ -57,8 +57,8 @@ impl StateDb {
 
     /// Opens (or creates) a database backed by the file at `path`.
     ///
-    /// A corrupt state file (truncated, bit-flipped, malformed, or holding
-    /// duplicate task ids) is quarantined to `<path>.corrupt` and an empty
+    /// A corrupt state file (truncated, bit-flipped, malformed, headerless,
+    /// or holding duplicate task ids) is quarantined to `<path>.corrupt` and an empty
     /// database is returned; [`StateDb::recovery`] describes what happened
     /// so callers can warn. Corruption therefore costs a full rebuild, not
     /// a failed one.
@@ -281,14 +281,6 @@ fn parse_state_file(text: &str, path: &Path) -> Result<ParsedState, BuildError> 
     let mut in_progress = BTreeSet::new();
     let mut header: Option<(usize, String)> = None;
     let mut body = String::new();
-    // `flush` always writes at least the header line, so an existing empty
-    // file can only be the stub of a torn write.
-    if text.trim().is_empty() {
-        return Err(BuildError::State(format!(
-            "{}: empty state file (likely truncated)",
-            path.display()
-        )));
-    }
     for (no, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -363,21 +355,27 @@ fn parse_state_file(text: &str, path: &Path) -> Result<ParsedState, BuildError> 
         body.push_str(line);
         body.push('\n');
     }
-    if let Some((count, sum)) = header {
-        let found = entries.len() + in_progress.len();
-        if count != found {
-            return Err(BuildError::State(format!(
-                "{}: truncated: header records {count} entries, found {found}",
-                path.display()
-            )));
-        }
-        let actual = Fingerprint::of(body.as_bytes()).to_string();
-        if actual != sum {
-            return Err(BuildError::State(format!(
-                "{}: checksum mismatch: header says {sum}, content hashes to {actual}",
-                path.display()
-            )));
-        }
+    // `flush` always writes the header line, so a file without one (empty,
+    // torn, or not a state file at all) cannot be trusted.
+    let Some((count, sum)) = header else {
+        return Err(BuildError::State(format!(
+            "{}: no integrity header",
+            path.display()
+        )));
+    };
+    let found = entries.len() + in_progress.len();
+    if count != found {
+        return Err(BuildError::State(format!(
+            "{}: truncated: header records {count} entries, found {found}",
+            path.display()
+        )));
+    }
+    let actual = Fingerprint::of(body.as_bytes()).to_string();
+    if actual != sum {
+        return Err(BuildError::State(format!(
+            "{}: checksum mismatch: header says {sum}, content hashes to {actual}",
+            path.display()
+        )));
     }
     Ok((entries, in_progress))
 }
@@ -414,14 +412,20 @@ mod tests {
     }
 
     #[test]
-    fn headerless_legacy_file_still_loads() {
-        let dir = tmpdir("legacy");
+    fn headerless_file_is_quarantined() {
+        let dir = tmpdir("headerless");
         let file = dir.join("state.db");
         let fp = Fingerprint::of(b"1");
-        std::fs::write(&file, format!("a\t{fp}\n")).unwrap();
-        let db = StateDb::open(&file).unwrap();
-        assert!(db.recovery().is_none());
-        assert_eq!(db.last("a"), Some(fp));
+        for text in [format!("a\t{fp}\n"), String::new()] {
+            std::fs::write(&file, text).unwrap();
+            let db = StateDb::open(&file).unwrap();
+            // A cold cache: the task that line named rebuilds.
+            assert_eq!(db.last("a"), None);
+            let note = db.recovery().expect("recovery note");
+            assert!(note.contains("no integrity header"), "{note}");
+            assert!(!file.exists());
+            assert!(dir.join("state.db.corrupt").exists());
+        }
         std::fs::remove_dir_all(dir).unwrap();
     }
 

@@ -350,22 +350,19 @@ impl BlobStore {
         Ok(img)
     }
 
-    /// Loads an image from a level file on disk, accepting both `MMAN`
-    /// manifests and legacy flat `MIMG` serialisations (pre-existing
-    /// workdirs).
+    /// Loads an image from a level file on disk. Anything that is not an
+    /// `MMAN` manifest — a flat `MIMG` image included — is a malformed
+    /// manifest ([`StoreError::Manifest`]), which callers treat as a cache
+    /// miss: the file is removed and the level rebuilt.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] when the file is unreadable, otherwise the
-    /// [`BlobStore::read_manifest`] / [`FsImage::from_bytes`] errors.
+    /// [`BlobStore::read_manifest`] errors.
     pub fn load_image(&self, path: &Path) -> Result<FsImage, StoreError> {
         let bytes =
             std::fs::read(path).map_err(|e| StoreError::Io(format!("{}: {e}", path.display())))?;
-        if sniff_manifest(&bytes) {
-            self.read_manifest(&bytes)
-        } else {
-            Ok(FsImage::from_bytes(&bytes)?)
-        }
+        self.read_manifest(&bytes)
     }
 }
 
@@ -577,13 +574,16 @@ mod tests {
     }
 
     #[test]
-    fn load_image_sniffs_legacy_flat_format() {
-        let dir = scratch("legacy");
+    fn load_image_rejects_flat_images_as_malformed_manifests() {
+        let dir = scratch("flat");
         let store = BlobStore::new(dir.join("objects"));
         let img = sample();
         let flat_path = dir.join("level.img");
         std::fs::write(&flat_path, img.to_bytes()).unwrap();
-        assert_eq!(store.load_image(&flat_path).unwrap(), img);
+        assert!(matches!(
+            store.load_image(&flat_path),
+            Err(StoreError::Manifest(ImageFormatError::BadMagic))
+        ));
 
         let (manifest, _) = store.write_manifest(&img).unwrap();
         let man_path = dir.join("level2.img");

@@ -20,19 +20,18 @@
 //! - [`boot`]: the boot flow (firmware → kernel → initramfs → init system
 //!   → payload).
 //! - [`checkpoint`]: boot-state snapshots for launch checkpointing.
-//! - [`qemu`] / [`spike`]: the two functional simulator front-ends.
+//! - [`functional`]: the functional simulator front-end, one
+//!   implementation for both the QEMU-like and the Spike-like profile.
 
 #![warn(missing_docs)]
 
 pub mod boot;
 pub mod checkpoint;
+pub mod functional;
 pub mod guest;
 pub mod machine;
-pub mod qemu;
-pub mod spike;
 pub mod syscall;
 
 pub use checkpoint::BootSnapshot;
+pub use functional::Functional;
 pub use machine::{LaunchMode, SimConfig, SimError, SimKind, SimResult, WATCHDOG_EXIT_CODE};
-pub use qemu::Qemu;
-pub use spike::Spike;

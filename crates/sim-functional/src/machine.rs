@@ -15,7 +15,8 @@ pub enum SimKind {
 }
 
 impl SimKind {
-    /// Display name used in serial banners.
+    /// Display name used in serial banners — for the functional profiles
+    /// also the stock simulator binary's name.
     pub fn name(self) -> &'static str {
         match self {
             SimKind::Qemu => "qemu-system-riscv64",

@@ -404,7 +404,7 @@ mod tests {
     use marshal_linux::kconfig::KernelConfig;
     use marshal_linux::kernel::{build_kernel, KernelSource};
     use marshal_linux::InitramfsSpec;
-    use marshal_sim_functional::Qemu;
+    use marshal_sim_functional::Functional;
 
     fn boot_binary() -> BootBinary {
         let config = KernelConfig::riscv_defconfig();
@@ -481,7 +481,7 @@ nofb:
         // instruction streams on functional and cycle-exact simulation.
         let boot = boot_binary();
         let disk = disk_with(&branchy_program());
-        let qemu = Qemu::new();
+        let qemu = Functional::new(SimKind::Qemu);
         let functional = qemu.launch(&boot, Some(&disk), LaunchMode::Run).unwrap();
         let sim = FireSim::new(HardwareConfig::rocket());
         let (timed, _) = sim.launch(&boot, Some(&disk), LaunchMode::Run).unwrap();

@@ -8,26 +8,16 @@
 //! deterministic for a given journal (golden-file tested).
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+use marshal_config::json::write_string;
 
 use crate::journal::Journal;
-use crate::json::Json;
-use crate::record::{Args, RecordKind};
+use crate::record::{push_args, Args, RecordKind};
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-}
-
-fn args_json(args: &Args) -> Json {
-    Json::Obj(
-        args.iter()
-            .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-            .collect(),
-    )
-}
-
-/// Renders the journal as a Chrome / Perfetto trace JSON document.
+/// Renders the journal as a Chrome / Perfetto trace JSON document. Each
+/// event's fields are written in a fixed order, straight into the output.
 pub fn chrome_trace(journal: &Journal) -> String {
-    let mut events: Vec<Json> = Vec::new();
     let process_name = match journal.records.first().map(|r| &r.kind) {
         Some(RecordKind::Run { name, args }) => {
             let run_id = args.get("run_id").map(String::as_str).unwrap_or("?");
@@ -35,13 +25,11 @@ pub fn chrome_trace(journal: &Journal) -> String {
         }
         _ => "marshal".to_owned(),
     };
-    events.push(obj(vec![
-        ("name", Json::Str("process_name".into())),
-        ("ph", Json::Str("M".into())),
-        ("pid", Json::Num(1.0)),
-        ("tid", Json::Num(0.0)),
-        ("args", obj(vec![("name", Json::Str(process_name))])),
-    ]));
+    let mut out = String::from(
+        r#"{"traceEvents":[{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"#,
+    );
+    write_string(&process_name, &mut out);
+    out.push_str("}}");
 
     // First pass: where every span ends (and with which closing args).
     let mut ends: BTreeMap<u64, (u64, &Args)> = BTreeMap::new();
@@ -54,6 +42,7 @@ pub fn chrome_trace(journal: &Journal) -> String {
     static EMPTY: Args = Args::new();
 
     for rec in &journal.records {
+        let (t, tid) = (rec.t_us, rec.tid);
         match &rec.kind {
             RecordKind::Run { .. } | RecordKind::SpanEnd { .. } => {}
             RecordKind::SpanStart { id, name, args, .. } => {
@@ -68,52 +57,48 @@ pub fn chrome_trace(journal: &Journal) -> String {
                 if !finished {
                     merged.insert("unfinished".to_owned(), "true".to_owned());
                 }
-                events.push(obj(vec![
-                    ("name", Json::Str(name.clone())),
-                    ("cat", Json::Str("marshal".into())),
-                    ("ph", Json::Str("X".into())),
-                    ("ts", Json::Num(rec.t_us as f64)),
-                    ("dur", Json::Num(end_t.saturating_sub(rec.t_us) as f64)),
-                    ("pid", Json::Num(1.0)),
-                    ("tid", Json::Num(rec.tid as f64)),
-                    ("args", args_json(&merged)),
-                ]));
+                let dur = end_t.saturating_sub(t);
+                event_name(&mut out, name);
+                let _ = write!(
+                    out,
+                    r#","cat":"marshal","ph":"X","ts":{t},"dur":{dur},"pid":1,"tid":{tid}"#
+                );
+                push_args(&mut out, &merged);
+                out.push('}');
             }
             RecordKind::Instant { name, args } => {
-                events.push(obj(vec![
-                    ("name", Json::Str(name.clone())),
-                    ("cat", Json::Str("marshal".into())),
-                    ("ph", Json::Str("i".into())),
-                    ("s", Json::Str("t".into())),
-                    ("ts", Json::Num(rec.t_us as f64)),
-                    ("pid", Json::Num(1.0)),
-                    ("tid", Json::Num(rec.tid as f64)),
-                    ("args", args_json(args)),
-                ]));
+                event_name(&mut out, name);
+                let _ = write!(
+                    out,
+                    r#","cat":"marshal","ph":"i","s":"t","ts":{t},"pid":1,"tid":{tid}"#
+                );
+                push_args(&mut out, args);
+                out.push('}');
             }
             RecordKind::Counter { name, value } => {
-                events.push(obj(vec![
-                    ("name", Json::Str(name.clone())),
-                    ("ph", Json::Str("C".into())),
-                    ("ts", Json::Num(rec.t_us as f64)),
-                    ("pid", Json::Num(1.0)),
-                    ("tid", Json::Num(rec.tid as f64)),
-                    ("args", obj(vec![("value", Json::Num(*value as f64))])),
-                ]));
+                event_name(&mut out, name);
+                let _ = write!(
+                    out,
+                    r#","ph":"C","ts":{t},"pid":1,"tid":{tid},"args":{{"value":{value}}}}}"#
+                );
             }
         }
     }
-    obj(vec![
-        ("traceEvents", Json::Arr(events)),
-        ("displayTimeUnit", Json::Str("ms".into())),
-    ])
-    .encode()
+    out.push_str(r#"],"displayTimeUnit":"ms"}"#);
+    out
+}
+
+/// Opens the next event object with its `name` field.
+fn event_name(out: &mut String, name: &str) {
+    out.push_str(r#",{"name":"#);
+    write_string(name, out);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::record::Record;
+    use marshal_config::Value;
     use std::path::PathBuf;
 
     fn journal_from(records: Vec<Record>) -> Journal {
@@ -177,15 +162,15 @@ mod tests {
             },
         ]);
         let text = chrome_trace(&j);
-        let v = Json::parse(&text).unwrap();
-        let Some(Json::Arr(events)) = v.get("traceEvents") else {
+        let v = marshal_config::json::parse(&text).unwrap();
+        let Some(events) = v.get("traceEvents").and_then(Value::as_array) else {
             panic!("traceEvents array");
         };
         assert_eq!(events.len(), 3, "metadata + 2 spans");
         let task = &events[1];
         assert_eq!(task.get("ph").unwrap().as_str(), Some("X"));
-        assert_eq!(task.get("ts").unwrap().as_u64(), Some(10));
-        assert_eq!(task.get("dur").unwrap().as_u64(), Some(50));
+        assert_eq!(task.get("ts").unwrap().as_int(), Some(10));
+        assert_eq!(task.get("dur").unwrap().as_int(), Some(50));
         assert_eq!(
             task.get("args").unwrap().get("outcome").unwrap().as_str(),
             Some("executed"),
@@ -193,7 +178,7 @@ mod tests {
         );
         // The unclosed span is clamped to the journal's end and flagged.
         let sim = &events[2];
-        assert_eq!(sim.get("dur").unwrap().as_u64(), Some(0));
+        assert_eq!(sim.get("dur").unwrap().as_int(), Some(0));
         assert_eq!(
             sim.get("args").unwrap().get("unfinished").unwrap().as_str(),
             Some("true")

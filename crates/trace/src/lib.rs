@@ -10,7 +10,10 @@
 //! individually checksummed, and the reader stops at the first torn line),
 //! so the journal doubles as the crash-forensics record.
 //!
-//! This crate sits at the bottom of the workspace — `marshal-depgraph`,
+//! Journal lines are read with `marshal-config`'s JSON parser and written
+//! through its string escaper — the workspace has one JSON implementation.
+//!
+//! This crate sits near the bottom of the workspace — `marshal-depgraph`,
 //! `marshal-netstore`, and `marshal-core` all emit through the same
 //! [`Recorder`], which is a cheap clonable handle: disabled recorders are a
 //! single `Option` check on the hot path (no channel send, no allocation),
@@ -21,14 +24,12 @@
 
 mod chrome;
 mod journal;
-mod json;
 mod record;
 mod recorder;
 mod summary;
 
 pub use chrome::chrome_trace;
 pub use journal::{list_runs, read_journal, Journal, RunInfo};
-pub use json::Json;
 pub use record::{checksum_line, seal_line, Args, Record, RecordKind};
 pub use recorder::{FinishedRun, Recorder, Span};
 pub use summary::{summarize, RunSummary, SpanStat};

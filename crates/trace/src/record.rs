@@ -7,6 +7,8 @@
 //! {"seq":N,"t":MICROS,"tid":T,"k":"b","id":I,"parent":P,"name":"...","args":{...},"x":"<fnv64 hex>"}
 //! ```
 //!
+//! `parent` is written only for child spans and `args` only when non-empty.
+//!
 //! `k` codes: `run` (header, sequence 0), `b` span begin, `e` span end,
 //! `i` instant, `c` counter. The checksum covers every byte of the line
 //! before the `,"x":` separator, so truncation anywhere — including inside
@@ -15,7 +17,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::{write_str, Json};
+use marshal_config::json::{parse, write_string};
+use marshal_config::Value;
 
 /// Key → value attributes attached to a record. Sorted, so encoding is
 /// deterministic.
@@ -111,11 +114,18 @@ impl Record {
             "{{\"seq\":{},\"t\":{},\"tid\":{}",
             self.seq, self.t_us, self.tid
         ));
+        // Empty args and a root span's parent are left out: the reader
+        // treats a missing field as empty, and every byte is paid per event.
+        let push_args_if_any = |body: &mut String, args: &Args| {
+            if !args.is_empty() {
+                push_args(body, args);
+            }
+        };
         match &self.kind {
             RecordKind::Run { name, args } => {
                 body.push_str(",\"k\":\"run\",\"name\":");
-                write_str(name, &mut body);
-                push_args(&mut body, args);
+                write_string(name, &mut body);
+                push_args_if_any(&mut body, args);
             }
             RecordKind::SpanStart {
                 id,
@@ -123,27 +133,26 @@ impl Record {
                 name,
                 args,
             } => {
-                body.push_str(&format!(",\"k\":\"b\",\"id\":{id},\"parent\":"));
-                match parent {
-                    Some(p) => body.push_str(&p.to_string()),
-                    None => body.push_str("null"),
+                body.push_str(&format!(",\"k\":\"b\",\"id\":{id}"));
+                if let Some(p) = parent {
+                    body.push_str(&format!(",\"parent\":{p}"));
                 }
                 body.push_str(",\"name\":");
-                write_str(name, &mut body);
-                push_args(&mut body, args);
+                write_string(name, &mut body);
+                push_args_if_any(&mut body, args);
             }
             RecordKind::SpanEnd { id, args } => {
                 body.push_str(&format!(",\"k\":\"e\",\"id\":{id}"));
-                push_args(&mut body, args);
+                push_args_if_any(&mut body, args);
             }
             RecordKind::Instant { name, args } => {
                 body.push_str(",\"k\":\"i\",\"name\":");
-                write_str(name, &mut body);
-                push_args(&mut body, args);
+                write_string(name, &mut body);
+                push_args_if_any(&mut body, args);
             }
             RecordKind::Counter { name, value } => {
                 body.push_str(",\"k\":\"c\",\"name\":");
-                write_str(name, &mut body);
+                write_string(name, &mut body);
                 body.push_str(&format!(",\"value\":{value}"));
             }
         }
@@ -161,18 +170,18 @@ impl Record {
         let body = verify_line(line)?;
         let mut text = body.to_owned();
         text.push('}');
-        let v = Json::parse(&text).map_err(|e| format!("bad record JSON: {e}"))?;
+        let v = parse(&text).map_err(|e| format!("bad record JSON: {e}"))?;
         let seq = field_u64(&v, "seq")?;
         let t_us = field_u64(&v, "t")?;
         let tid = field_u64(&v, "tid")?;
-        let kind = match v.get("k").and_then(Json::as_str) {
+        let kind = match v.get("k").and_then(Value::as_str) {
             Some("run") => RecordKind::Run {
                 name: field_str(&v, "name")?,
                 args: parse_args(&v),
             },
             Some("b") => RecordKind::SpanStart {
                 id: field_u64(&v, "id")?,
-                parent: v.get("parent").and_then(Json::as_u64),
+                parent: v.get("parent").and_then(as_u64),
                 name: field_str(&v, "name")?,
                 args: parse_args(&v),
             },
@@ -188,7 +197,7 @@ impl Record {
                 name: field_str(&v, "name")?,
                 value: v
                     .get("value")
-                    .and_then(Json::as_i64)
+                    .and_then(Value::as_int)
                     .ok_or("counter without value")?,
             },
             other => return Err(format!("unknown record kind {other:?}")),
@@ -202,40 +211,43 @@ impl Record {
     }
 }
 
-fn field_u64(v: &Json, key: &str) -> Result<u64, String> {
+fn as_u64(v: &Value) -> Option<u64> {
+    v.as_int().and_then(|n| u64::try_from(n).ok())
+}
+
+fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
     v.get(key)
-        .and_then(Json::as_u64)
+        .and_then(as_u64)
         .ok_or_else(|| format!("missing numeric field `{key}`"))
 }
 
-fn field_str(v: &Json, key: &str) -> Result<String, String> {
+fn field_str(v: &Value, key: &str) -> Result<String, String> {
     v.get(key)
-        .and_then(Json::as_str)
+        .and_then(Value::as_str)
         .map(str::to_owned)
         .ok_or_else(|| format!("missing string field `{key}`"))
 }
 
-fn parse_args(v: &Json) -> Args {
-    let mut out = Args::new();
-    if let Some(Json::Obj(fields)) = v.get("args") {
-        for (k, val) in fields {
-            if let Some(s) = val.as_str() {
-                out.insert(k.clone(), s.to_owned());
-            }
-        }
-    }
-    out
+fn parse_args(v: &Value) -> Args {
+    let Some(fields) = v.get("args").and_then(Value::as_object) else {
+        return Args::new();
+    };
+    fields
+        .iter()
+        .filter_map(|(k, val)| Some((k.clone(), val.as_str()?.to_owned())))
+        .collect()
 }
 
-fn push_args(body: &mut String, args: &Args) {
+/// Appends `,"args":{...}` — string-valued, in key order.
+pub(crate) fn push_args(body: &mut String, args: &Args) {
     body.push_str(",\"args\":{");
     for (i, (k, v)) in args.iter().enumerate() {
         if i > 0 {
             body.push(',');
         }
-        write_str(k, body);
+        write_string(k, body);
         body.push(':');
-        write_str(v, body);
+        write_string(v, body);
     }
     body.push('}');
 }
@@ -331,7 +343,7 @@ mod tests {
                 tid: 1,
                 kind: RecordKind::Instant {
                     name: "cache".into(),
-                    args: args(&[("hit", "true"), ("level", "br-base \"q\"")]),
+                    args: args(&[("hit", "true"), ("level", "br-base \"q\"\t\u{1}")]),
                 },
             },
             Record {

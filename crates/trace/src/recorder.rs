@@ -107,6 +107,18 @@ impl Queue {
         }
         self.buf.lock().expect("journal queue poisoned").push(msg);
     }
+
+    /// Queues an event, reading the clock under the lock: queue order is
+    /// the journal's sequence order, so it must also be timestamp order
+    /// even when threads race to emit.
+    fn push_event(&self, epoch: Instant, tid: u64, kind: RecordKind) {
+        if self.dead.load(Ordering::Relaxed) {
+            return;
+        }
+        let mut buf = self.buf.lock().expect("journal queue poisoned");
+        let t_us = epoch.elapsed().as_micros() as u64;
+        buf.push(Wire::Event { t_us, tid, kind });
+    }
 }
 
 /// What [`Recorder::finish`] reports about a completed journal.
@@ -274,15 +286,11 @@ impl Recorder {
         let Some(inner) = &self.inner else {
             return;
         };
-        let t_us = inner.epoch.elapsed().as_micros() as u64;
+        let tid = local_tid();
         inner.events_sent.fetch_add(1, Ordering::Relaxed);
         // Queue without signalling: the writer's poll picks it up. Waking
         // the writer per event would cost this thread a context switch.
-        inner.queue.push(Wire::Event {
-            t_us,
-            tid: local_tid(),
-            kind,
-        });
+        inner.queue.push_event(inner.epoch, tid, kind);
     }
 
     fn span_with_parent(&self, parent: Option<u64>, name: &str, args: &[(&str, &str)]) -> Span {

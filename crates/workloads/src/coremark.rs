@@ -160,7 +160,7 @@ pub fn known_checksum() -> u64 {
     use marshal_isa::abi;
     use marshal_isa::asm::assemble;
     let exe = assemble(&coremark_source(), abi::USER_BASE).expect("coremark assembles");
-    let result = marshal_sim_functional::Qemu::new()
+    let result = marshal_sim_functional::Functional::new(marshal_sim_functional::SimKind::Qemu)
         .launch_bare(&exe.to_bytes())
         .expect("coremark runs");
     let line = result

@@ -150,7 +150,7 @@ pub fn known_checksum() -> u64 {
     use marshal_isa::abi;
     use marshal_isa::asm::assemble;
     let exe = assemble(&dnn_source(), abi::USER_BASE).expect("dnn assembles");
-    let result = marshal_sim_functional::Qemu::new()
+    let result = marshal_sim_functional::Functional::new(marshal_sim_functional::SimKind::Qemu)
         .launch_bare(&exe.to_bytes())
         .expect("dnn runs");
     let line = result

@@ -818,13 +818,13 @@ mod tests {
     use super::*;
     use marshal_isa::abi;
     use marshal_isa::asm::assemble;
-    use marshal_sim_functional::Qemu;
+    use marshal_sim_functional::{Functional, SimKind};
 
     #[test]
     fn all_benchmarks_assemble_and_run() {
         for (name, source) in benchmarks() {
             let exe = assemble(&source, abi::USER_BASE).unwrap_or_else(|e| panic!("{name}: {e}"));
-            let result = Qemu::new()
+            let result = Functional::new(SimKind::Qemu)
                 .launch_bare(&exe.to_bytes())
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(result.exit_code, 0, "{name} serial: {}", result.serial);
@@ -850,8 +850,12 @@ mod tests {
     fn checksums_deterministic() {
         for (name, source) in benchmarks().into_iter().take(3) {
             let exe = assemble(&source, abi::USER_BASE).unwrap();
-            let a = Qemu::new().launch_bare(&exe.to_bytes()).unwrap();
-            let b = Qemu::new().launch_bare(&exe.to_bytes()).unwrap();
+            let a = Functional::new(SimKind::Qemu)
+                .launch_bare(&exe.to_bytes())
+                .unwrap();
+            let b = Functional::new(SimKind::Qemu)
+                .launch_bare(&exe.to_bytes())
+                .unwrap();
             assert_eq!(a.serial, b.serial, "{name} must be deterministic");
         }
     }

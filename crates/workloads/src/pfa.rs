@@ -204,7 +204,7 @@ mod tests {
     use super::*;
     use marshal_isa::abi;
     use marshal_isa::asm::assemble;
-    use marshal_sim_functional::Spike;
+    use marshal_sim_functional::{Functional, SimKind};
 
     #[test]
     fn specs_parse_like_listing1() {
@@ -227,7 +227,7 @@ mod tests {
     #[test]
     fn latency_bench_runs_on_spike_golden_model() {
         let exe = assemble(&latency_source(), abi::USER_BASE).unwrap();
-        let result = Spike::with_binary("pfa-spike")
+        let result = Functional::with_binary(SimKind::Spike, "pfa-spike")
             .launch_bare(&exe.to_bytes())
             .unwrap();
         assert!(result.serial.contains("latency-ubench faults=64"));
@@ -238,7 +238,9 @@ mod tests {
     #[test]
     fn server_runs_bare() {
         let exe = assemble(&serve_source(), abi::USER_BASE).unwrap();
-        let result = Spike::new().launch_bare(&exe.to_bytes()).unwrap();
+        let result = Functional::new(SimKind::Spike)
+            .launch_bare(&exe.to_bytes())
+            .unwrap();
         assert!(result.serial.contains("pfa-server checksum: 1"));
     }
 }

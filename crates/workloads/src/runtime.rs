@@ -98,7 +98,7 @@ mod tests {
     use super::*;
     use marshal_isa::abi;
     use marshal_isa::asm::assemble;
-    use marshal_sim_functional::Qemu;
+    use marshal_sim_functional::{Functional, SimKind};
 
     #[test]
     fn runtime_prints_checksum_and_counters() {
@@ -112,7 +112,9 @@ bench_main:
 "#,
         );
         let exe = assemble(&src, abi::USER_BASE).expect("assemble runtime");
-        let result = Qemu::new().launch_bare(&exe.to_bytes()).unwrap();
+        let result = Functional::new(SimKind::Qemu)
+            .launch_bare(&exe.to_bytes())
+            .unwrap();
         assert!(
             result.serial.contains("smoke checksum: 424242"),
             "serial: {}",
@@ -135,7 +137,9 @@ bench_main:
 "#,
         );
         let exe = assemble(&src, abi::USER_BASE).unwrap();
-        let result = Qemu::new().launch_bare(&exe.to_bytes()).unwrap();
+        let result = Functional::new(SimKind::Qemu)
+            .launch_bare(&exe.to_bytes())
+            .unwrap();
         assert!(result.serial.contains("zero checksum: 0\n"));
     }
 }

@@ -89,23 +89,25 @@ fn manifest_round_trips_and_dedupes() {
 }
 
 #[test]
-fn load_image_reads_both_manifest_and_legacy_flat() {
-    let root = common::tmpdir("imgstore-legacy");
+fn load_image_reads_manifests_and_rejects_flat_images() {
+    let root = common::tmpdir("imgstore-flat");
     let store = BlobStore::new(root.join("objects"));
     let img = sample_image();
 
     let (manifest, _) = store.write_manifest(&img).unwrap();
     let manifest_path = root.join("level.img");
     std::fs::write(&manifest_path, &manifest).unwrap();
-
-    // A pre-existing workdir holds flat MIMG payloads; both must load.
-    let flat_path = root.join("legacy.img");
-    std::fs::write(&flat_path, img.to_bytes()).unwrap();
-
     let from_manifest = store.load_image(&manifest_path).unwrap();
-    let from_flat = store.load_image(&flat_path).unwrap();
     assert_eq!(from_manifest.fingerprint(), img.fingerprint());
-    assert_eq!(from_flat.fingerprint(), img.fingerprint());
+
+    // A flat MIMG image is not a level file: it loads as a malformed
+    // manifest, which the build treats as a cache miss.
+    let flat_path = root.join("flat.img");
+    std::fs::write(&flat_path, img.to_bytes()).unwrap();
+    assert!(matches!(
+        store.load_image(&flat_path),
+        Err(StoreError::Manifest(_))
+    ));
     std::fs::remove_dir_all(root).unwrap();
 }
 

@@ -301,6 +301,18 @@ fn corrupted_boot_binary_detected_and_force_recovers() {
     let run = launch::launch_workload(&builder, &products, &LaunchOptions::default()).unwrap();
     assert!(run.jobs[0].serial.contains("Hello from FireMarshal!"));
     assert!(!run.jobs[0].timed_out);
+
+    // A lost checksum sidecar is unverifiable, not trusted; the sidecar
+    // is a task output, so a plain rebuild reruns the task that writes it.
+    std::fs::remove_file(marshal_core::integrity::sidecar_path(&artifact)).unwrap();
+    let err = launch::launch_workload(&builder, &products, &LaunchOptions::default()).unwrap_err();
+    assert!(matches!(err, MarshalError::Corrupt(_)), "{err:?}");
+    let products = builder
+        .build("hello.json", &BuildOptions::default())
+        .unwrap();
+    assert_eq!(products.report.executed.len(), 1, "{:?}", products.report);
+    let run = launch::launch_workload(&builder, &products, &LaunchOptions::default()).unwrap();
+    assert!(run.jobs[0].serial.contains("Hello from FireMarshal!"));
     let _ = std::fs::remove_dir_all(root);
 }
 

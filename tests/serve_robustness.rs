@@ -405,37 +405,45 @@ fn torn_manifest_triggers_level_rebuild_not_panic() {
     b.build("hello.json", &BuildOptions::default()).unwrap();
 
     let work = root.join("work");
-    let (path, _) = level_manifests(&work)
-        .into_iter()
-        .find(|(p, _)| {
-            // A chain-level manifest, not the final job image's
-            // (`job:<name>-…`): the satellite is about *level* rebuilds.
-            !p.file_name()
-                .map(|n| n.to_string_lossy().starts_with("job:"))
-                .unwrap_or(false)
-        })
-        .expect("a chain-level manifest to tear");
-    let mut inj = Injector::new(0x70c4);
-    inj.tear_image_write(&path).unwrap();
+    // A torn manifest, then a flat `MIMG` image where a manifest belongs:
+    // both are malformed manifests that preflight removes for a rebuild.
+    for flat in [false, true] {
+        let (path, _) = level_manifests(&work)
+            .into_iter()
+            .find(|(p, _)| {
+                // A chain-level manifest, not the final job image's
+                // (`job:<name>-…`): the satellite is about *level* rebuilds.
+                !p.file_name()
+                    .map(|n| n.to_string_lossy().starts_with("job:"))
+                    .unwrap_or(false)
+            })
+            .expect("a chain-level manifest to tear");
+        if flat {
+            let img = ImageStore::new(&work).blobs().load_image(&path).unwrap();
+            std::fs::write(&path, img.to_bytes()).unwrap();
+        } else {
+            Injector::new(0x70c4).tear_image_write(&path).unwrap();
+        }
 
-    let products = b.build("hello.json", &BuildOptions::default()).unwrap();
-    assert!(
-        products
-            .warnings
-            .iter()
-            .any(|w| w.to_string().contains("torn")),
-        "preflight reports the torn manifest: {:?}",
-        products.warnings
-    );
-    assert!(
-        products
-            .report
-            .executed
-            .iter()
-            .any(|t| t.starts_with("img:")),
-        "the owning level re-ran: {:?}",
-        products.report.executed
-    );
+        let products = b.build("hello.json", &BuildOptions::default()).unwrap();
+        assert!(
+            products
+                .warnings
+                .iter()
+                .any(|w| w.to_string().contains("torn or malformed manifest")),
+            "preflight reports the malformed manifest: {:?}",
+            products.warnings
+        );
+        assert!(
+            products
+                .report
+                .executed
+                .iter()
+                .any(|t| t.starts_with("img:")),
+            "the owning level re-ran: {:?}",
+            products.report.executed
+        );
+    }
     // And the workdir is whole again.
     let scrub = scrub_pool(&work, None).unwrap();
     assert_eq!(scrub.corrupt, 0);

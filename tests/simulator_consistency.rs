@@ -8,7 +8,7 @@ mod common;
 use marshal_core::{clean_output, launch, BuildOptions, LaunchOptions};
 use marshal_firmware::BootBinary;
 use marshal_image::FsImage;
-use marshal_sim_functional::{LaunchMode, Qemu, Spike};
+use marshal_sim_functional::{Functional, LaunchMode, SimKind};
 use marshal_sim_rtl::{FireSim, HardwareConfig};
 
 #[test]
@@ -28,10 +28,10 @@ fn same_artifacts_same_cleaned_output_on_all_simulators() {
     let boot = BootBinary::from_bytes(&std::fs::read(boot_path).unwrap()).unwrap();
     let disk = FsImage::from_bytes(&std::fs::read(disk_path.as_ref().unwrap()).unwrap()).unwrap();
 
-    let qemu = Qemu::new()
+    let qemu = Functional::new(SimKind::Qemu)
         .launch(&boot, Some(&disk), LaunchMode::Run)
         .unwrap();
-    let spike = Spike::new()
+    let spike = Functional::new(SimKind::Spike)
         .launch(&boot, Some(&disk), LaunchMode::Run)
         .unwrap();
     let (firesim, report) = FireSim::new(HardwareConfig::rocket())
@@ -122,7 +122,7 @@ fn final_images_identical_across_simulators() {
     };
     let boot = BootBinary::from_bytes(&std::fs::read(boot_path).unwrap()).unwrap();
     let disk = FsImage::from_bytes(&std::fs::read(disk_path.as_ref().unwrap()).unwrap()).unwrap();
-    let qemu = Qemu::new()
+    let qemu = Functional::new(SimKind::Qemu)
         .launch(&boot, Some(&disk), LaunchMode::Run)
         .unwrap();
     let (firesim, _) = FireSim::new(HardwareConfig::boom_tage())
