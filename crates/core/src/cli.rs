@@ -6,8 +6,9 @@
 //! Commands:
 //!   build   [--no-disk] [--force]    Construct the filesystem image and boot-binary
 //!   launch  [--job NAME] [--sim B]   Launch this workload on a simulator backend
-//!   cosim   [--sim A,B]              Run two backends in lockstep and diff behaviour
-//!   test    [--manual DIR]           Build, launch, and compare against a reference
+//!           [-j N]                   (-j: up to N jobs at once)
+//!   cosim   [--sim A,B] [-j N]       Run two backends in lockstep and diff behaviour
+//!   test    [--manual DIR] [-j N]    Build, launch, and compare against a reference
 //!   install [--hw CONFIG] [--sim C]  Set up an RTL simulator (firesim/vcs/verilator)
 //!   clean   [--keep-runs N]          Remove built artifacts and state
 //!   serve   [--port N]               Export this workdir's built levels to the network
@@ -19,11 +20,12 @@ use std::collections::HashSet;
 use std::path::Path;
 
 use marshal_config::SearchPath;
+use marshal_depgraph::ExecOptions;
 use marshal_sim_rtl::HardwareConfig;
 use marshal_trace::Recorder;
 
 use crate::board::Board;
-use crate::build::{BuildOptions, Builder};
+use crate::build::{BuildOptions, Builder, JobArtifacts};
 use crate::clean::{clean_workload_with, DEFAULT_KEEP_RUNS};
 use crate::cosim::{cosim_workload, CosimOptions};
 use crate::error::MarshalError;
@@ -78,7 +80,7 @@ pub enum Command {
         /// Live single-line progress on stderr (`--progress`).
         progress: bool,
     },
-    /// `launch [--job NAME] [--sim BACKEND] [--hw CONFIG] [--timeout-insts N] <workload>`.
+    /// `launch [--job NAME] [--sim BACKEND] [--hw CONFIG] [--timeout-insts N] [-j N] <workload>`.
     Launch {
         /// Target workload file.
         workload: String,
@@ -93,8 +95,10 @@ pub enum Command {
         hw: Option<String>,
         /// Disable boot checkpointing (`--no-checkpoint`).
         no_checkpoint: bool,
+        /// Jobs simulated at once (`-j N`); `None` = available parallelism.
+        jobs: Option<usize>,
     },
-    /// `cosim [--sim A,B] [--hw CONFIG] [--timeout-insts N] [--inject-divergence] <workload>`.
+    /// `cosim [--sim A,B] [--hw CONFIG] [--timeout-insts N] [--inject-divergence] [-j N] <workload>`.
     Cosim {
         /// Target workload file.
         workload: String,
@@ -109,6 +113,8 @@ pub enum Command {
         inject_divergence: bool,
         /// Disable boot checkpointing (`--no-checkpoint`).
         no_checkpoint: bool,
+        /// Jobs compared at once (`-j N`); `None` = available parallelism.
+        jobs: Option<usize>,
     },
     /// `test [--manual DIR] [--timeout-insts N] [-j N] <workload>`.
     Test {
@@ -119,7 +125,8 @@ pub enum Command {
         manual: Option<String>,
         /// Guest watchdog budget in instructions.
         timeout_insts: Option<u64>,
-        /// Worker threads for the build phase (`-j N`).
+        /// Worker threads for the build phase and jobs launched at once
+        /// (`-j N`); `None` = available parallelism.
         jobs: Option<usize>,
         /// Runner pool for the build phase (`--runners`).
         runners: Option<String>,
@@ -209,9 +216,14 @@ pub const USAGE: &str = "usage: marshal [-d DIR]... [--workdir DIR] [-v] <build|
                                   --progress renders a live one-line status on
                                   stderr while the build runs
   launch  [--job NAME] [--sim BACKEND] [--hw CONFIG] [--timeout-insts N]
-          [--no-checkpoint]
+          [--no-checkpoint] [-j N]
                                   launch the workload on a simulator backend
                                   (qemu/spike/rtl; default: the workload's own choice);
+                                  --job runs one job, named in full or by a suffix
+                                  only that job has;
+                                  -j simulates up to N jobs at once (default:
+                                  available CPUs; -j 1 runs them one by one; output
+                                  is the same at every -j);
                                   --hw picks the rtl hardware config;
                                   --timeout-insts bounds guest instructions before the
                                   watchdog kills a hung payload (exit code 124);
@@ -219,15 +231,20 @@ pub const USAGE: &str = "usage: marshal [-d DIR]... [--workdir DIR] [-v] <build|
                                   instead of re-running the boot; --no-checkpoint
                                   always boots cold and writes no snapshot
   cosim   [--sim A,B] [--hw CONFIG] [--timeout-insts N] [--inject-divergence]
-          [--no-checkpoint]
+          [--no-checkpoint] [-j N]
                                   run two backends on the identical artifacts in
                                   lockstep and diff canonical uartlogs, exit codes,
                                   and outputs (default pair: qemu,rtl);
+                                  -j compares up to N jobs at once (default:
+                                  available CPUs); a job's two backends always run
+                                  one after the other;
                                   --inject-divergence corrupts one output byte as a
                                   checker self-test (must exit nonzero)
   test    [--manual DIR] [--timeout-insts N] [-j N] [--runners LIST]
           [--no-checkpoint]
-                                  compare outputs against a reference (build+launch, or a prior run dir)
+                                  compare outputs against a reference (build+launch, or a prior run dir);
+                                  -j sets both the build's workers and the jobs
+                                  launched at once
   install [--hw CONFIG] [--sim C] [--remote HOST:PORT] [--runners LIST]
                                   generate RTL simulator configuration (firesim/vcs/verilator)
   clean   [--keep-runs N]         remove built artifacts and state; also prunes
@@ -442,6 +459,7 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, MarshalError> {
             sim,
             hw,
             no_checkpoint,
+            jobs,
         },
         "cosim" => Command::Cosim {
             workload: need_workload()?,
@@ -450,6 +468,7 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, MarshalError> {
             hw,
             inject_divergence,
             no_checkpoint,
+            jobs,
         },
         "test" => Command::Test {
             workload: need_workload()?,
@@ -504,6 +523,27 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, MarshalError> {
         verbose,
         command,
     })
+}
+
+/// Resolves `launch --job NAME` to a job index. `NAME` is a job's
+/// qualified name or a suffix of it; a suffix that several jobs share is
+/// an error listing them.
+fn find_job(jobs: &[JobArtifacts], name: &str) -> Result<usize, String> {
+    let matches: Vec<usize> = (0..jobs.len())
+        .filter(|&i| jobs[i].name.ends_with(name))
+        .collect();
+    match matches.as_slice() {
+        [] => Err(format!("no job named `{name}`")),
+        [index] => Ok(*index),
+        _ => Err(format!(
+            "job name `{name}` is ambiguous; it matches {}",
+            matches
+                .iter()
+                .map(|&i| format!("`{}`", jobs[i].name))
+                .collect::<Vec<_>>()
+                .join(", ")
+        )),
+    }
 }
 
 /// Looks up a named hardware configuration.
@@ -696,6 +736,7 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
             sim,
             hw,
             no_checkpoint,
+            jobs,
         } => {
             if let Some(name) = sim {
                 if resolve_backend(name).is_none() {
@@ -724,15 +765,13 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
                 sim: sim.clone(),
                 hw: hw_config,
                 no_checkpoint: *no_checkpoint,
+                threads: jobs.unwrap_or_else(ExecOptions::host_threads),
             };
             match job {
                 Some(job_name) => {
-                    let Some(index) = products
-                        .jobs
-                        .iter()
-                        .position(|j| j.name.ends_with(job_name.as_str()))
-                    else {
-                        fail!(format!("no job named `{job_name}`"));
+                    let index = match find_job(&products.jobs, job_name) {
+                        Ok(index) => index,
+                        Err(e) => fail!(e),
                     };
                     match crate::launch::launch_job(builder, &products, index, &launch_opts) {
                         Ok(out) => {
@@ -798,6 +837,7 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
             hw,
             inject_divergence,
             no_checkpoint,
+            jobs,
         } => {
             let mut opts = CosimOptions {
                 timeout_insts: *timeout_insts,
@@ -805,6 +845,7 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
                 recorder: rec.clone(),
                 checkpoints: (!*no_checkpoint)
                     .then(|| crate::checkpoint::CheckpointStore::new(builder.workdir())),
+                threads: jobs.unwrap_or_else(ExecOptions::host_threads),
                 ..CosimOptions::default()
             };
             if let Some(pair) = sim {
@@ -930,6 +971,7 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
                     &LaunchOptions {
                         timeout_insts: *timeout_insts,
                         no_checkpoint: *no_checkpoint,
+                        threads: jobs.unwrap_or_else(ExecOptions::host_threads),
                         ..LaunchOptions::default()
                     },
                 )
@@ -1339,6 +1381,13 @@ mod tests {
         assert!(matches!(args.command, Command::Build { jobs: Some(8), .. }));
         let args = parse(&["test", "-j", "2", "w.json"]).unwrap();
         assert!(matches!(args.command, Command::Test { jobs: Some(2), .. }));
+        let args = parse(&["launch", "-j", "3", "w.json"]).unwrap();
+        assert!(matches!(
+            args.command,
+            Command::Launch { jobs: Some(3), .. }
+        ));
+        let args = parse(&["cosim", "--jobs", "5", "w.json"]).unwrap();
+        assert!(matches!(args.command, Command::Cosim { jobs: Some(5), .. }));
         // Not a count, zero, or missing: usage errors.
         assert!(parse(&["build", "-j", "many", "w.json"]).is_err());
         assert!(parse(&["build", "-j", "0", "w.json"]).is_err());
@@ -1368,7 +1417,8 @@ mod tests {
                 timeout_insts: Some(5000),
                 sim: None,
                 hw: None,
-                no_checkpoint: false
+                no_checkpoint: false,
+                jobs: None
             }
         );
         let args = parse(&["test", "--timeout-insts", "9", "w.json"]).unwrap();
@@ -1408,7 +1458,8 @@ mod tests {
                 timeout_insts: None,
                 sim: None,
                 hw: None,
-                no_checkpoint: false
+                no_checkpoint: false,
+                jobs: None
             }
         );
     }
@@ -1467,7 +1518,8 @@ mod tests {
                 timeout_insts: None,
                 hw: None,
                 inject_divergence: false,
-                no_checkpoint: false
+                no_checkpoint: false,
+                jobs: None
             }
         );
         let args = parse(&[
@@ -1486,7 +1538,8 @@ mod tests {
                 timeout_insts: None,
                 hw: None,
                 inject_divergence: true,
-                no_checkpoint: false
+                no_checkpoint: false,
+                jobs: None
             }
         );
         assert!(parse(&["cosim"]).is_err());

@@ -16,6 +16,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use marshal_image::{FsImage, Node};
 use marshal_sim_functional::LaunchMode;
@@ -25,7 +26,7 @@ use marshal_trace::Recorder;
 use crate::build::{BuildProducts, JobArtifacts};
 use crate::checkpoint::CheckpointStore;
 use crate::error::MarshalError;
-use crate::launch::{load_artifacts, run_checkpointed};
+use crate::launch::{load_artifacts, run_checkpointed, run_sim_tasks, LoadedJob};
 use crate::simulator::{simulator_for, BackendOptions};
 use crate::test::clean_output;
 use crate::warnings::Warning;
@@ -49,6 +50,10 @@ pub struct CosimOptions {
     /// its own boot checkpoint — keyed per backend configuration, so the
     /// two sides never share a snapshot. `None` always boots cold.
     pub checkpoints: Option<CheckpointStore>,
+    /// Jobs compared at once (`-j N`); the two legs of one job always run
+    /// one after the other. The default, `1`, is serial; `0` is clamped
+    /// to `1`.
+    pub threads: usize,
 }
 
 impl Default for CosimOptions {
@@ -62,6 +67,7 @@ impl Default for CosimOptions {
             inject_divergence: false,
             recorder: Recorder::disabled(),
             checkpoints: None,
+            threads: 1,
         }
     }
 }
@@ -203,16 +209,25 @@ pub fn observe_backend(
     job: &JobArtifacts,
     opts: &CosimOptions,
 ) -> Result<BackendBehaviour, MarshalError> {
+    observe_loaded(backend_name, job, &load_artifacts(job)?, opts)
+}
+
+/// [`observe_backend`] over artifacts already loaded from `job`.
+fn observe_loaded(
+    backend_name: &str,
+    job: &JobArtifacts,
+    loaded: &LoadedJob,
+    opts: &CosimOptions,
+) -> Result<BackendBehaviour, MarshalError> {
     let backend_opts = BackendOptions {
         timeout_insts: opts.timeout_insts,
         hw: opts.hw.clone(),
     };
     let backend = simulator_for(backend_name, &job.spec, &backend_opts)?;
-    let loaded = load_artifacts(job)?;
     let span = opts.recorder.sim_span(backend.name(), &job.name);
     let run = run_checkpointed(
         backend.as_ref(),
-        &loaded,
+        loaded,
         LaunchMode::Run,
         opts.checkpoints.as_ref(),
         &job.name,
@@ -347,14 +362,17 @@ pub fn inject_single_byte_divergence(behaviour: &mut BackendBehaviour) {
     }
 }
 
-/// Runs one job on both backends and compares.
+/// Runs one job on both backends and compares. The job's artifacts are
+/// loaded once and both backends run on that same copy, one after the
+/// other.
 ///
 /// # Errors
 ///
 /// Backend resolution, artifact, and simulation errors from either side.
 pub fn cosim_job(job: &JobArtifacts, opts: &CosimOptions) -> Result<JobCosim, MarshalError> {
-    let a = observe_backend(&opts.backends.0, job, opts)?;
-    let mut b = observe_backend(&opts.backends.1, job, opts)?;
+    let loaded = load_artifacts(job)?;
+    let a = observe_loaded(&opts.backends.0, job, &loaded, opts)?;
+    let mut b = observe_loaded(&opts.backends.1, job, &loaded, opts)?;
     if opts.inject_divergence {
         inject_single_byte_divergence(&mut b);
     }
@@ -369,19 +387,25 @@ pub fn cosim_job(job: &JobArtifacts, opts: &CosimOptions) -> Result<JobCosim, Ma
     })
 }
 
-/// Runs every job of a built workload on both backends in lockstep.
+/// Runs every job of a built workload on both backends in lockstep, as one
+/// `cosim:<job>` executor task per job, up to [`CosimOptions::threads`]
+/// at once.
 ///
 /// # Errors
 ///
-/// First failing job's error.
+/// The lowest-index failing job's error.
 pub fn cosim_workload(
     products: &BuildProducts,
     opts: &CosimOptions,
 ) -> Result<CosimReport, MarshalError> {
-    let mut jobs = Vec::with_capacity(products.jobs.len());
-    for job in &products.jobs {
-        jobs.push(cosim_job(job, opts)?);
-    }
+    let shared = Arc::new(opts.clone());
+    let tasks = products.jobs.iter().map(|job| {
+        let (opts, job) = (Arc::clone(&shared), job.clone());
+        (format!("cosim:{}", job.name), move || {
+            cosim_job(&job, &opts)
+        })
+    });
+    let jobs = run_sim_tasks(tasks, opts.threads)?;
     Ok(CosimReport {
         workload: products.workload.clone(),
         backends: opts.backends.clone(),

@@ -5,9 +5,16 @@
 //! `--sim <backend>` picks any registered backend, and the default is the
 //! workload's own choice (custom Spike when the `spike` option is set,
 //! QEMU otherwise).
+//!
+//! Every simulation runs as a task on the depgraph executor
+//! ([`run_sim_tasks`]): `launch`, `test` and `cosim` build one task per
+//! job and spread them over a [`LaunchOptions::threads`]-wide pool. The
+//! results come back in job order, so output is the same at every width.
 
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
+use marshal_depgraph::{ExecOptions, Graph, StateDb, Task};
 use marshal_firmware::BootBinary;
 use marshal_image::FsImage;
 use marshal_sim_functional::LaunchMode;
@@ -23,7 +30,7 @@ use crate::simulator::{default_backend, simulator_for, BackendOptions, SimRun, S
 use crate::warnings::{Severity, Warning};
 
 /// Options for the `launch` command.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct LaunchOptions {
     /// Guest watchdog budget (`--timeout-insts`): maximum guest
     /// instructions before a hung payload is terminated. `None` keeps the
@@ -38,6 +45,21 @@ pub struct LaunchOptions {
     /// and never write a snapshot. The escape hatch when a checkpoint is
     /// suspected of masking a boot-path change.
     pub no_checkpoint: bool,
+    /// Jobs simulated at once (`-j N`). The default, `1`, runs them one
+    /// after another; `0` is clamped to `1`.
+    pub threads: usize,
+}
+
+impl Default for LaunchOptions {
+    fn default() -> LaunchOptions {
+        LaunchOptions {
+            timeout_insts: None,
+            sim: None,
+            hw: None,
+            no_checkpoint: false,
+            threads: 1,
+        }
+    }
 }
 
 impl LaunchOptions {
@@ -228,11 +250,7 @@ pub fn simulate_job_with(
     rec: &Recorder,
 ) -> Result<(SimRun, Vec<Warning>), MarshalError> {
     let loaded = load_artifacts(job)?;
-    let backend_name = opts
-        .sim
-        .as_deref()
-        .unwrap_or_else(|| default_backend(&job.spec));
-    let backend = simulator_for(backend_name, &job.spec, &opts.backend_options())?;
+    let backend = simulator_for(backend_name(job, opts), &job.spec, &opts.backend_options())?;
     run_checkpointed(
         backend.as_ref(),
         &loaded,
@@ -241,6 +259,98 @@ pub fn simulate_job_with(
         &job.name,
         rec,
     )
+}
+
+/// Runs one simulation task per `(id, work)` pair on the depgraph
+/// executor: a [`Graph`] of independent tasks over a `threads`-wide
+/// `LocalRunner` pool, with in-memory state (nothing is persisted, so no
+/// task is ever up to date) and no task spans — the work records its own
+/// `sim` span.
+///
+/// Every task runs even when another fails, so what lands on disk does
+/// not depend on `threads`. Results come back in input order.
+///
+/// # Errors
+///
+/// The error of the first pair (in input order) whose work failed.
+pub(crate) fn run_sim_tasks<T, F>(
+    tasks: impl IntoIterator<Item = (String, F)>,
+    threads: usize,
+) -> Result<Vec<T>, MarshalError>
+where
+    T: Send + 'static,
+    F: Fn() -> Result<T, MarshalError> + Send + Sync + 'static,
+{
+    type Slot<T> = Arc<Mutex<Option<Result<T, MarshalError>>>>;
+    let mut graph = Graph::new();
+    let mut slots: Vec<Slot<T>> = Vec::new();
+    for (id, work) in tasks {
+        let slot: Slot<T> = Arc::new(Mutex::new(None));
+        let out = Arc::clone(&slot);
+        graph.add(Task::new(id, move || {
+            let result = work();
+            let status = result.as_ref().map(|_| ()).map_err(ToString::to_string);
+            *out.lock().expect("result slot poisoned") = Some(result);
+            status
+        }))?;
+        slots.push(slot);
+    }
+    let exec = ExecOptions {
+        keep_going: true,
+        threads: threads.clamp(1, slots.len().max(1)),
+        // The work journals its own spans: no `task` spans, no counters.
+        recorder: Recorder::disabled(),
+        progress: None,
+    };
+    graph.execute_with(&mut StateDb::in_memory(), &exec)?;
+    slots
+        .into_iter()
+        .map(|slot| {
+            let result = slot.lock().expect("result slot poisoned").take();
+            // A panicking task re-raises in `execute_with`, so every slot
+            // is filled by now.
+            result.expect("every simulation task ran")
+        })
+        .collect()
+}
+
+/// What a launch task needs from the [`Builder`], owned so the task can
+/// run on an executor thread.
+struct LaunchContext {
+    rec: Recorder,
+    workdir: PathBuf,
+    run_root: PathBuf,
+    opts: LaunchOptions,
+}
+
+/// The backend a job launches on: `--sim` when given, else the workload's
+/// default.
+fn backend_name<'a>(job: &'a JobArtifacts, opts: &'a LaunchOptions) -> &'a str {
+    opts.sim
+        .as_deref()
+        .unwrap_or_else(|| default_backend(&job.spec))
+}
+
+/// Launches `jobs` as one `sim:<job>@<backend>` task each (see
+/// [`run_sim_tasks`]), returning their outputs in job order.
+fn launch_jobs(
+    builder: &Builder,
+    products: &BuildProducts,
+    jobs: &[JobArtifacts],
+    opts: &LaunchOptions,
+) -> Result<Vec<LaunchOutput>, MarshalError> {
+    let ctx = Arc::new(LaunchContext {
+        rec: builder.recorder().clone(),
+        workdir: builder.workdir().to_owned(),
+        run_root: builder.run_dir(&products.workload),
+        opts: opts.clone(),
+    });
+    let tasks = jobs.iter().map(|job| {
+        let id = format!("sim:{}@{}", job.name, backend_name(job, opts));
+        let (ctx, job) = (Arc::clone(&ctx), job.clone());
+        (id, move || launch_one(&ctx, &job))
+    });
+    run_sim_tasks(tasks, opts.threads)
 }
 
 /// Launches one job of a built workload and collects its outputs.
@@ -260,17 +370,20 @@ pub fn launch_job(
             products.workload
         ))
     })?;
-    let rec = builder.recorder();
-    let backend_name = opts
-        .sim
-        .as_deref()
-        .unwrap_or_else(|| default_backend(&job.spec))
-        .to_owned();
-    let store = (!opts.no_checkpoint).then(|| CheckpointStore::new(builder.workdir()));
+    let mut outputs = launch_jobs(builder, products, std::slice::from_ref(job), opts)?;
+    Ok(outputs.pop().expect("one task per job"))
+}
+
+/// One launch task: simulate `job`, then collect its outputs and stats
+/// into `ctx.run_root/<job>/`.
+fn launch_one(ctx: &LaunchContext, job: &JobArtifacts) -> Result<LaunchOutput, MarshalError> {
+    let (rec, opts) = (&ctx.rec, &ctx.opts);
+    let backend_name = backend_name(job, opts);
+    let store = (!opts.no_checkpoint).then(|| CheckpointStore::new(&ctx.workdir));
     // Pin the checkpoint directory while this launch may read or write it,
     // so a concurrent `marshal clean` defers pruning (blob-pool semantics).
     let _pin = store.as_ref().and_then(|s| PoolPin::acquire(s.dir()).ok());
-    let span = rec.sim_span(&backend_name, &job.name);
+    let span = rec.sim_span(backend_name, &job.name);
     let run = simulate_job_with(job, opts, store.as_ref(), rec);
     match &run {
         Ok((r, _)) => span.end_with(&[
@@ -286,7 +399,7 @@ pub fn launch_job(
     if result.timed_out {
         rec.watchdog_fired(&job.name, result.instructions);
     }
-    let job_dir = builder.run_dir(&products.workload).join(&job.name);
+    let job_dir = ctx.run_root.join(&job.name);
     if result.timed_out {
         // The watchdog killed the guest mid-run: salvage what it produced
         // (uartlog always, declared outputs when they exist) instead of
@@ -357,21 +470,19 @@ pub struct WorkloadRun {
     pub hook_log: Vec<String>,
 }
 
-/// Launches every job of a built workload, then runs the `post-run-hook`.
+/// Launches every job of a built workload, up to
+/// [`LaunchOptions::threads`] at once, then runs the `post-run-hook`.
 ///
 /// # Errors
 ///
-/// First failing job's error, or hook errors.
+/// The lowest-index failing job's error, or hook errors.
 pub fn launch_workload(
     builder: &Builder,
     products: &BuildProducts,
     opts: &LaunchOptions,
 ) -> Result<WorkloadRun, MarshalError> {
     let run_root = builder.run_dir(&products.workload);
-    let mut jobs = Vec::with_capacity(products.jobs.len());
-    for i in 0..products.jobs.len() {
-        jobs.push(launch_job(builder, products, i, opts)?);
-    }
+    let jobs = launch_jobs(builder, products, &products.jobs, opts)?;
     let hook_log = match &products.top_spec.post_run_hook {
         Some(hook) => {
             let (source, mut extra_args) = load_hook_script(hook, products.source_dir.as_deref())?;

@@ -148,3 +148,42 @@ fn install_with_vcs_connector() {
     assert!(log[0].contains("unknown simulator connector"));
     std::fs::remove_dir_all(root).unwrap();
 }
+
+#[test]
+fn launch_job_name_must_pick_exactly_one_job() {
+    let root = common::tmpdir("cli-launch-job");
+    // `_s` ends every intspeed job name: an error that lists the matches,
+    // not a silent launch of the first one.
+    let (code, log) = run(&root, &["launch", "--job", "_s", "intspeed.json"]);
+    assert_eq!(code, 1, "{log:?}");
+    let error = log
+        .iter()
+        .find(|l| l.starts_with("error: "))
+        .expect("an error line");
+    assert!(error.contains("ambiguous"), "{error}");
+    for job in ["intspeed.600.perlbench_s", "intspeed.657.xz_s"] {
+        assert!(error.contains(job), "{job} listed: {error}");
+    }
+    assert!(
+        !root
+            .join("work/runs/intspeed/intspeed.600.perlbench_s")
+            .exists(),
+        "nothing launched"
+    );
+
+    // A name only one job ends with still launches that job alone.
+    let (code, log) = run(
+        &root,
+        &["launch", "--job", "620.omnetpp_s", "intspeed.json"],
+    );
+    assert_eq!(code, 0, "{log:?}");
+    assert!(
+        log.iter()
+            .any(|l| l.starts_with("job `intspeed.620.omnetpp_s` exited 0")),
+        "{log:?}"
+    );
+    let runs = root.join("work/runs/intspeed");
+    assert!(runs.join("intspeed.620.omnetpp_s/uartlog").exists());
+    assert!(!runs.join("intspeed.600.perlbench_s").exists());
+    std::fs::remove_dir_all(root).unwrap();
+}

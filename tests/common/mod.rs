@@ -19,6 +19,26 @@ pub fn builder_in(root: &std::path::Path) -> marshal_core::Builder {
         .expect("create builder")
 }
 
+/// Runs `marshal --workdir <root>/work <words>` through the CLI layer over
+/// the bundled workloads. Returns the exit code and the output without
+/// its `run journal:` line, which names a fresh run id every time.
+#[allow(dead_code)]
+pub fn run_cli(root: &std::path::Path, words: &[&str]) -> (i32, Vec<String>) {
+    let mut argv: Vec<String> = vec![
+        "--workdir".to_owned(),
+        root.join("work").to_string_lossy().into_owned(),
+    ];
+    argv.extend(words.iter().map(|s| (*s).to_owned()));
+    let parsed = marshal_core::cli::parse_args(&argv).expect("parse");
+    let setup = marshal_workloads::setup(root).expect("materialise workloads");
+    let (code, log) = marshal_core::cli::run_command(&parsed, setup.board, setup.search);
+    let log = log
+        .into_iter()
+        .filter(|l| !l.starts_with("run journal: "))
+        .collect();
+    (code, log)
+}
+
 /// Spawns a `marshal serve --exec` daemon rooted at `root`: its own
 /// workload sources, its own workdir, real TCP on an ephemeral port.
 /// Returns the daemon address plus a handle/join pair for shutdown.

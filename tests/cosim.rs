@@ -107,6 +107,7 @@ fn cli_cosim_exit_codes_follow_agreement() {
             hw: None,
             inject_divergence: false,
             no_checkpoint: false,
+            jobs: None,
         },
     };
     let (code, log) = cli::run_command(&base, setup.board.clone(), setup.search.clone());
@@ -124,6 +125,7 @@ fn cli_cosim_exit_codes_follow_agreement() {
             hw: None,
             inject_divergence: true,
             no_checkpoint: false,
+            jobs: None,
         },
         ..base
     };

@@ -163,6 +163,72 @@ fn parallel_build_is_bit_identical_to_serial() {
     let _ = std::fs::remove_dir_all(worker_b);
 }
 
+#[test]
+fn parallel_launch_cosim_and_test_are_bit_identical_to_serial() {
+    // Simulations run as executor tasks; the pool width must be invisible
+    // too. In one built workdir, `launch`, `launch --sim rtl`, `cosim` and
+    // `test` of the 10-job intspeed suite at `-j 8` print what they print
+    // at `-j 1` and write the same `runs/intspeed/` tree: uartlogs,
+    // outputs, `stats` and the post-run hook's `results.csv`.
+    let root = common::tmpdir("det-sim-tasks");
+    let runs = root.join("work/runs/intspeed");
+    let (code, log) = common::run_cli(&root, &["build", "intspeed.json"]);
+    assert_eq!(code, 0, "{log:?}");
+    let commands: [&[&str]; 4] = [
+        &["launch"],
+        &["launch", "--sim", "rtl"],
+        &["cosim"],
+        &["test"],
+    ];
+    // Per command: its output and the `runs/intspeed/` tree it wrote.
+    let observe = |threads: &str| {
+        commands
+            .iter()
+            .map(|command| {
+                let _ = std::fs::remove_dir_all(&runs);
+                let mut words = command.to_vec();
+                words.extend(["-j", threads, "intspeed.json"]);
+                let (code, log) = common::run_cli(&root, &words);
+                assert_eq!(code, 0, "{words:?}: {log:?}");
+                (log, sorted_tree(&runs))
+            })
+            .collect::<Vec<_>>()
+    };
+    let serial = observe("1");
+    let parallel = observe("8");
+    let launch_tree = &serial[0].1;
+    assert!(
+        launch_tree.iter().any(|(name, _)| name == "results.csv"),
+        "the post-run hook ran"
+    );
+    assert_eq!(
+        launch_tree
+            .iter()
+            .filter(|(name, _)| name.ends_with("/uartlog"))
+            .count(),
+        10,
+        "one uartlog per job"
+    );
+    for (command, (s, p)) in commands.iter().zip(serial.iter().zip(parallel.iter())) {
+        assert_eq!(
+            s.0, p.0,
+            "{command:?}: output differs between -j 1 and -j 8"
+        );
+        assert_eq!(
+            s.1.iter().map(|(n, _)| n).collect::<Vec<_>>(),
+            p.1.iter().map(|(n, _)| n).collect::<Vec<_>>(),
+            "{command:?}: runs/intspeed file sets differ between -j 1 and -j 8"
+        );
+        for ((name, a), (_, b)) in s.1.iter().zip(p.1.iter()) {
+            assert!(
+                a == b,
+                "{command:?}: runs/intspeed/{name} differs between -j 1 and -j 8"
+            );
+        }
+    }
+    std::fs::remove_dir_all(root).unwrap();
+}
+
 /// Every file under `root` (recursively) as (relative path, contents),
 /// sorted by path.
 fn sorted_tree(root: &std::path::Path) -> Vec<(String, Vec<u8>)> {

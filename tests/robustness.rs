@@ -358,6 +358,7 @@ fn cli_launch_surfaces_timeout_exit_code() {
             sim: None,
             hw: None,
             no_checkpoint: false,
+            jobs: None,
         },
     };
     let (code, log) = cli::run_command(&args, setup.board, setup.search);
@@ -365,6 +366,66 @@ fn cli_launch_surfaces_timeout_exit_code() {
     assert!(
         log.iter().any(|l| l.contains("TIMED OUT")),
         "diagnostic in log: {log:?}"
+    );
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// `launch <extra> -j <threads> intspeed.json` through the CLI layer.
+fn launch_intspeed(root: &std::path::Path, threads: usize, extra: &[&str]) -> (i32, Vec<String>) {
+    let threads = threads.to_string();
+    let mut words = vec!["launch"];
+    words.extend(extra);
+    words.extend(["-j", &threads, "intspeed.json"]);
+    common::run_cli(root, &words)
+}
+
+#[test]
+fn multi_job_timeout_reports_the_same_at_every_width() {
+    // A budget between omnetpp's ~3.1 M instructions and every other
+    // job's: one job out of ten hangs, whichever worker runs it.
+    let root = common::tmpdir("rob-timeout-j");
+    let budget = ["--timeout-insts", "2000000"];
+    let (serial_code, serial_log) = launch_intspeed(&root, 1, &budget);
+    let (parallel_code, parallel_log) = launch_intspeed(&root, 4, &budget);
+    assert_eq!(serial_code, cli::EXIT_TIMED_OUT, "{serial_log:?}");
+    assert_eq!(parallel_code, cli::EXIT_TIMED_OUT, "{parallel_log:?}");
+    assert_eq!(serial_log, parallel_log, "-j 1 and -j 4 report alike");
+    let timed_out: Vec<&String> = serial_log
+        .iter()
+        .filter(|l| l.contains("TIMED OUT"))
+        .collect();
+    assert_eq!(timed_out.len(), 1, "{serial_log:?}");
+    assert!(
+        timed_out[0].contains("intspeed.620.omnetpp_s"),
+        "{timed_out:?}"
+    );
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn multi_job_corrupt_sidecar_fails_the_same_at_every_width() {
+    let root = common::tmpdir("rob-sidecar-j");
+    let (code, log) = launch_intspeed(&root, 1, &[]);
+    assert_eq!(code, 0, "{log:?}");
+    // A well-formed but wrong checksum for one job's boot binary, in the
+    // middle of the job list.
+    let sidecar = root.join("work/images/intspeed.620.omnetpp_s/boot.bin.fp");
+    std::fs::write(&sidecar, "0".repeat(32)).unwrap();
+    let (serial_code, serial_log) = launch_intspeed(&root, 1, &[]);
+    let (parallel_code, parallel_log) = launch_intspeed(&root, 4, &[]);
+    assert_eq!(serial_code, 1, "{serial_log:?}");
+    assert_eq!(parallel_code, 1, "{parallel_log:?}");
+    let first_error = |log: &[String]| {
+        log.iter()
+            .find(|l| l.starts_with("error: "))
+            .cloned()
+            .unwrap_or_else(|| panic!("no error line: {log:?}"))
+    };
+    let error = first_error(&serial_log);
+    assert_eq!(error, first_error(&parallel_log), "same first error");
+    assert!(
+        error.contains("intspeed.620.omnetpp_s") && error.contains("--force"),
+        "{error}"
     );
     let _ = std::fs::remove_dir_all(root);
 }

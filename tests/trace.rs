@@ -167,6 +167,88 @@ fn parallel_j8_journal_is_ordered_and_nested() {
 }
 
 #[test]
+fn parallel_launch_journal_keeps_one_sim_span_per_job() {
+    let root = common::tmpdir("trace-launch-j2");
+    let (code, log) = run(&root, &["build", "intspeed.json"]);
+    assert_eq!(code, 0, "{log:?}");
+    let launch = |threads: &str| {
+        let (code, log) = run(&root, &["launch", "-j", threads, "intspeed.json"]);
+        assert_eq!(code, 0, "{log:?}");
+        let run_id = log
+            .iter()
+            .find_map(|l| l.strip_prefix("run journal: "))
+            .and_then(|l| l.split_whitespace().next())
+            .expect("launch reports its run journal")
+            .to_owned();
+        let journal = read_journal(&root.join("work/runs").join(run_id).join("journal.jsonl"))
+            .expect("journal");
+        assert!(!journal.torn, "{:?}", journal.torn_detail);
+        journal
+    };
+    // Each job's `sim` spans as (start args, end args).
+    let sim_spans = |journal: &marshal_trace::Journal| {
+        let mut open: HashMap<u64, &Args> = HashMap::new();
+        let mut by_job: HashMap<String, Vec<(Args, Args)>> = HashMap::new();
+        for r in &journal.records {
+            match &r.kind {
+                RecordKind::SpanStart { id, name, args, .. } if name == "sim" => {
+                    open.insert(*id, args);
+                }
+                RecordKind::SpanEnd { id, args } => {
+                    if let Some(start) = open.remove(id) {
+                        by_job
+                            .entry(start["job"].clone())
+                            .or_default()
+                            .push((start.clone(), args.clone()));
+                    }
+                }
+                _ => {}
+            }
+        }
+        by_job
+    };
+    let serial = sim_spans(&launch("1"));
+    let journal = launch("2");
+    let parallel = sim_spans(&journal);
+    assert_eq!(parallel.len(), 10, "{parallel:?}");
+    assert!(
+        parallel.values().all(|spans| spans.len() == 1),
+        "{parallel:?}"
+    );
+    assert_eq!(parallel, serial, "sim span args at -j 2 and -j 1");
+
+    // The sim graph runs with its recorder off: no `task` spans, and no
+    // scheduler counters once the simulations have started.
+    let first_sim = journal
+        .records
+        .iter()
+        .position(|r| matches!(&r.kind, RecordKind::SpanStart { name, .. } if name == "sim"))
+        .expect("a sim span");
+    for r in &journal.records {
+        assert!(
+            !matches!(&r.kind, RecordKind::SpanStart { name, .. } if name == "task"),
+            "task span: {r:?}"
+        );
+    }
+    for r in &journal.records[first_sim..] {
+        assert!(
+            !matches!(&r.kind, RecordKind::Counter { .. }),
+            "counter from the sim graph: {r:?}"
+        );
+    }
+    for pair in journal.records.windows(2) {
+        assert!(pair[1].t_us >= pair[0].t_us, "timestamps never step back");
+    }
+    let summary = marshal_trace::summarize(&journal);
+    assert!(
+        summary.coverage_pct >= 95.0,
+        "span coverage {:.1}% < 95%",
+        summary.coverage_pct
+    );
+    std::fs::remove_dir_all(root).unwrap();
+}
+
+#[test]
 fn torn_journal_reconstructs_what_completed() {
     let root = common::tmpdir("trace-torn");
     let (code, log) = run(&root, &["build", "hello.json"]);
