@@ -597,6 +597,28 @@ fn render_warnings(
     }
 }
 
+/// Runs `help` and `trace`, the commands that need no workload setup and
+/// must not create or touch the workdir; `None` for every other command.
+#[must_use]
+pub fn run_without_setup(args: &CliArgs) -> Option<(i32, Vec<String>)> {
+    match &args.command {
+        Command::Help => Some((0, vec![USAGE.to_owned()])),
+        Command::Trace {
+            run,
+            export,
+            summary,
+            last,
+        } => Some(run_trace(
+            Path::new(&args.workdir),
+            run.as_deref(),
+            export.as_deref(),
+            *summary,
+            *last,
+        )),
+        _ => None,
+    }
+}
+
 /// Runs a parsed command; returns `(exit code, human-readable output)`.
 ///
 /// The caller provides the board and the base search path (normally from
@@ -607,6 +629,9 @@ fn render_warnings(
 /// that cannot be created degrades to an untraced run rather than failing
 /// the command.
 pub fn run_command(args: &CliArgs, board: Board, mut search: SearchPath) -> (i32, Vec<String>) {
+    if let Some(out) = run_without_setup(args) {
+        return out;
+    }
     for d in &args.search_dirs {
         search.add_dir(d);
     }
@@ -635,6 +660,84 @@ pub fn run_command(args: &CliArgs, board: Board, mut search: SearchPath) -> (i32
     (code, log)
 }
 
+/// Runs `trace`, which only reads `workdir/runs/`: it needs no workload
+/// setup and no [`Builder`], so inspecting a workdir never creates it,
+/// writes workload sources into it, or opens (and maybe quarantines) its
+/// `state.db`.
+fn run_trace(
+    workdir: &Path,
+    run: Option<&str>,
+    export: Option<&str>,
+    summary: bool,
+    last: bool,
+) -> (i32, Vec<String>) {
+    let mut log = Vec::new();
+    macro_rules! fail {
+        ($e:expr) => {{
+            log.push(format!("error: {}", $e));
+            return (1, log);
+        }};
+    }
+    let selected = match (run, last) {
+        (Some(id), _) => Some(id.to_owned()),
+        (None, true) => {
+            let runs = marshal_trace::list_runs(workdir);
+            match runs.last() {
+                Some(info) => Some(info.run_id.clone()),
+                None => fail!("no recorded runs to inspect (run a build first)"),
+            }
+        }
+        (None, false) => None,
+    };
+    let Some(run_id) = selected else {
+        // No run named: list what the workdir has.
+        let runs = marshal_trace::list_runs(workdir);
+        if runs.is_empty() {
+            log.push("no recorded runs (build, launch, test, cosim, and scrub record journals under workdir/runs/)".to_owned());
+            return (0, log);
+        }
+        log.push(format!(
+            "{:<26} {:<8} {:<24} {:>8}  status",
+            "run", "command", "workload", "events"
+        ));
+        for info in &runs {
+            log.push(format!(
+                "{:<26} {:<8} {:<24} {:>8}  {}",
+                info.run_id,
+                info.command.as_deref().unwrap_or("?"),
+                info.workload.as_deref().unwrap_or("-"),
+                info.events,
+                if info.torn { "TORN" } else { "ok" }
+            ));
+        }
+        return (0, log);
+    };
+    let journal_path = workdir.join("runs").join(&run_id).join("journal.jsonl");
+    let journal = match marshal_trace::read_journal(&journal_path) {
+        Ok(j) => j,
+        Err(e) => fail!(e),
+    };
+    match export {
+        Some("chrome") => log.push(marshal_trace::chrome_trace(&journal)),
+        Some("json") => log.extend(journal.records.iter().map(marshal_trace::Record::encode)),
+        Some(other) => fail!(format!(
+            "unknown export format `{other}` (try chrome, json)"
+        )),
+        None => {}
+    }
+    if export.is_none() || summary {
+        log.extend(marshal_trace::summarize(&journal).render());
+    }
+    if journal.torn {
+        log.push(format!(
+            "note: journal tail torn ({}); the {} verified event(s) above are what completed before the run died",
+            journal.torn_detail.as_deref().unwrap_or("unknown damage"),
+            journal.records.len()
+        ));
+    }
+    (0, log)
+}
+
 /// [`run_command`]'s per-command body, with the recorder already installed
 /// on `builder` and finished by the caller.
 #[allow(clippy::too_many_lines)]
@@ -648,9 +751,8 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
         }};
     }
     match &args.command {
-        Command::Help => {
-            log.push(USAGE.to_owned());
-            (0, log)
+        Command::Help | Command::Trace { .. } => {
+            unreachable!("run_command answers help and trace via run_without_setup")
         }
         Command::Build {
             workload,
@@ -1163,74 +1265,6 @@ fn dispatch(args: &CliArgs, builder: &mut Builder, rec: &Recorder) -> (i32, Vec<
                 }
                 Err(e) => fail!(e),
             }
-        }
-        Command::Trace {
-            run,
-            export,
-            summary,
-            last,
-        } => {
-            let workdir = Path::new(&args.workdir);
-            let selected = match (run, *last) {
-                (Some(id), _) => Some(id.clone()),
-                (None, true) => {
-                    let runs = marshal_trace::list_runs(workdir);
-                    match runs.last() {
-                        Some(info) => Some(info.run_id.clone()),
-                        None => fail!("no recorded runs to inspect (run a build first)"),
-                    }
-                }
-                (None, false) => None,
-            };
-            let Some(run_id) = selected else {
-                // No run named: list what the workdir has.
-                let runs = marshal_trace::list_runs(workdir);
-                if runs.is_empty() {
-                    log.push("no recorded runs (build, launch, test, cosim, and scrub record journals under workdir/runs/)".to_owned());
-                    return (0, log);
-                }
-                log.push(format!(
-                    "{:<26} {:<8} {:<24} {:>8}  status",
-                    "run", "command", "workload", "events"
-                ));
-                for info in &runs {
-                    log.push(format!(
-                        "{:<26} {:<8} {:<24} {:>8}  {}",
-                        info.run_id,
-                        info.command.as_deref().unwrap_or("?"),
-                        info.workload.as_deref().unwrap_or("-"),
-                        info.events,
-                        if info.torn { "TORN" } else { "ok" }
-                    ));
-                }
-                return (0, log);
-            };
-            let journal_path = workdir.join("runs").join(&run_id).join("journal.jsonl");
-            let journal = match marshal_trace::read_journal(&journal_path) {
-                Ok(j) => j,
-                Err(e) => fail!(e),
-            };
-            match export.as_deref() {
-                Some("chrome") => log.push(marshal_trace::chrome_trace(&journal)),
-                Some("json") => {
-                    log.extend(journal.records.iter().map(marshal_trace::Record::encode))
-                }
-                Some(other) => fail!(format!(
-                    "unknown export format `{other}` (try chrome, json)"
-                )),
-                None => {}
-            }
-            if export.is_none() || *summary {
-                log.extend(marshal_trace::summarize(&journal).render());
-            }
-            if journal.torn {
-                log.push(format!(
-                    "note: journal tail torn ({}); the {} verified event(s) above are what completed before the run died",
-                    journal.torn_detail.as_deref().unwrap_or("unknown damage"),
-                    journal.records.len()
-                ));
-            }
-            (0, log)
         }
     }
 }

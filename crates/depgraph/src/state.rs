@@ -18,6 +18,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::BuildError;
 use crate::hash::Fingerprint;
@@ -210,8 +211,9 @@ impl StateDb {
 
     /// Writes the database to its backing file (no-op for in-memory).
     ///
-    /// The write is atomic: content goes to `<path>.tmp` first and is
-    /// renamed into place, so a crash never leaves a torn file.
+    /// The write is atomic: content goes to a uniquely named
+    /// `<path>.<pid>.<n>.tmp` first and is renamed into place, so a crash
+    /// never leaves a torn file.
     ///
     /// # Errors
     ///
@@ -245,16 +247,24 @@ impl StateDb {
             Fingerprint::of(body.as_bytes())
         );
         out.push_str(&body);
-        let tmp = path.with_extension("db.tmp");
+        // A temp name of its own per flush: concurrent processes sharing a
+        // workdir never write into, or rename away, each other's temp file.
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let tmp = path.with_extension(format!(
+            "db.{}.{}.tmp",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         std::fs::write(&tmp, out)
-            .map_err(|e| BuildError::State(format!("write {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, path).map_err(|e| {
-            BuildError::State(format!(
-                "rename {} -> {}: {e}",
-                tmp.display(),
-                path.display()
-            ))
-        })
+            .map_err(|e| format!("write {}: {e}", tmp.display()))
+            .and_then(|()| {
+                std::fs::rename(&tmp, path)
+                    .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
+            })
+            .map_err(|msg| {
+                let _ = std::fs::remove_file(&tmp);
+                BuildError::State(msg)
+            })
     }
 
     /// The backing file, if any.
@@ -543,7 +553,41 @@ mod tests {
         db.record("a", Fingerprint::of(b"1"));
         db.flush().unwrap();
         assert!(file.exists());
-        assert!(!dir.join("state.db.tmp").exists());
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["state.db"], "temp file left behind");
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_flushes_to_one_file_all_succeed() {
+        // Processes sharing a workdir flush the same state.db; each flush
+        // must rename its own temp file, never one another writer moved.
+        let dir = tmpdir("concurrent");
+        let file = dir.join("state.db");
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (file, start) = (&file, &start);
+                s.spawn(move || {
+                    let mut db = StateDb::open(file).unwrap();
+                    start.wait();
+                    for i in 0..50 {
+                        db.record(format!("t{t}"), Fingerprint::of(&[i]));
+                        db.flush().unwrap();
+                    }
+                });
+            }
+        });
+        // Last writer wins, but the file is whole: nothing quarantined.
+        assert!(!StateDb::open(&file).unwrap().is_empty());
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["state.db"], "temp file left behind");
         std::fs::remove_dir_all(dir).unwrap();
     }
 

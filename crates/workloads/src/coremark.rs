@@ -3,7 +3,17 @@
 //!
 //! Like the real CoreMark it mixes linked-list manipulation, matrix
 //! arithmetic, and a CRC, and self-checks its result.
+//!
+//! The reference output `refs/uartlog` is written from the golden
+//! constant [`CHECKSUM`], not by running the program, so `marshal test`
+//! checks the simulators against a value fixed outside them (and workload
+//! setup runs no guest code). The constant was recorded from the program's
+//! qemu, spike and rtl runs, which the `golden_checksum_matches_every_backend`
+//! test re-checks. If you change [`coremark_source`] on purpose, run
+//! `cargo test -p marshal-workloads coremark`, and put the checksum the
+//! failure message reports into [`CHECKSUM`].
 
+use crate::registry::write_if_changed;
 use crate::runtime::compose_benchmark;
 
 /// The workload spec.
@@ -17,6 +27,9 @@ pub const COREMARK_JSON: &str = r#"{
     "testing": { "refDir": "refs" }
 }
 "#;
+
+/// The golden checksum `coremark` prints, and `refs/uartlog` holds.
+pub const CHECKSUM: u64 = 1_979_398;
 
 /// Host-init build script.
 pub const BUILD_MS: &str = r#"#!mscript
@@ -143,40 +156,32 @@ pub fn materialize(dir: &std::path::Path) -> std::io::Result<()> {
     std::fs::create_dir_all(dir.join("src"))?;
     std::fs::create_dir_all(dir.join("overlay/bin"))?;
     std::fs::create_dir_all(dir.join("refs"))?;
-    std::fs::write(dir.join("coremark.json"), COREMARK_JSON)?;
-    std::fs::write(dir.join("build.ms"), BUILD_MS)?;
-    std::fs::write(dir.join("src/coremark.s"), coremark_source())?;
-    std::fs::write(dir.join("refs/uartlog"), reference_uartlog())?;
+    write_if_changed(&dir.join("coremark.json"), COREMARK_JSON)?;
+    write_if_changed(&dir.join("build.ms"), BUILD_MS)?;
+    write_if_changed(&dir.join("src/coremark.s"), coremark_source())?;
+    write_if_changed(&dir.join("refs/uartlog"), reference_uartlog())?;
     Ok(())
 }
 
 /// The reference output (the stable checksum line).
 pub fn reference_uartlog() -> String {
-    format!("coremark checksum: {}\n", known_checksum())
+    format!("coremark checksum: {CHECKSUM}\n")
 }
 
-/// The benchmark's known-good checksum, computed by running it.
+/// The benchmark's checksum, computed by running it on the qemu profile.
+/// The tests compare it against [`CHECKSUM`].
 pub fn known_checksum() -> u64 {
-    use marshal_isa::abi;
-    use marshal_isa::asm::assemble;
-    let exe = assemble(&coremark_source(), abi::USER_BASE).expect("coremark assembles");
-    let result = marshal_sim_functional::Functional::new(marshal_sim_functional::SimKind::Qemu)
-        .launch_bare(&exe.to_bytes())
-        .expect("coremark runs");
-    let line = result
-        .serial
-        .lines()
-        .find(|l| l.starts_with("coremark checksum: "))
-        .expect("checksum line");
-    line["coremark checksum: ".len()..]
-        .trim()
-        .parse()
-        .expect("numeric checksum")
+    crate::runtime::run_checksum("coremark", &coremark_source())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn golden_checksum_matches_every_backend() {
+        crate::runtime::assert_golden_checksum("coremark", &coremark_source(), CHECKSUM);
+    }
 
     #[test]
     fn coremark_self_checks() {

@@ -7,7 +7,17 @@
 //! kernel), run on the full-featured Fedora base with dependencies
 //! installed by `guest-init` at build time — the paper's end-to-end
 //! benchmark flow.
+//!
+//! The reference output `refs/uartlog` is written from the golden
+//! constant [`CHECKSUM`], not by running the program, so `marshal test`
+//! checks the simulators against a value fixed outside them (and workload
+//! setup runs no guest code). The constant was recorded from the program's
+//! qemu, spike and rtl runs, which the `golden_checksum_matches_every_backend`
+//! test re-checks. If you change [`dnn_source`] on purpose, run
+//! `cargo test -p marshal-workloads dnn`, and put the checksum the failure
+//! message reports into [`CHECKSUM`].
 
+use crate::registry::write_if_changed;
 use crate::runtime::compose_benchmark;
 
 /// The workload spec: Fedora base + guest-init, like the paper's
@@ -23,6 +33,10 @@ pub const DNN_JSON: &str = r#"{
     "testing": { "refDir": "refs" }
 }
 "#;
+
+/// The golden checksum the inference program prints, and `refs/uartlog`
+/// holds.
+pub const CHECKSUM: u64 = 935;
 
 /// Host-init: cross-compile the inference binary.
 pub const BUILD_MS: &str = r#"#!mscript
@@ -145,23 +159,10 @@ fold:
     )
 }
 
-/// The known-good checksum, computed by running the program functionally.
+/// The inference program's checksum, computed by running it on the qemu
+/// profile. The tests compare it against [`CHECKSUM`].
 pub fn known_checksum() -> u64 {
-    use marshal_isa::abi;
-    use marshal_isa::asm::assemble;
-    let exe = assemble(&dnn_source(), abi::USER_BASE).expect("dnn assembles");
-    let result = marshal_sim_functional::Functional::new(marshal_sim_functional::SimKind::Qemu)
-        .launch_bare(&exe.to_bytes())
-        .expect("dnn runs");
-    let line = result
-        .serial
-        .lines()
-        .find(|l| l.starts_with("onnx-infer checksum: "))
-        .expect("checksum line");
-    line["onnx-infer checksum: ".len()..]
-        .trim()
-        .parse()
-        .expect("numeric checksum")
+    crate::runtime::run_checksum("onnx-infer", &dnn_source())
 }
 
 /// Writes the workload directory.
@@ -173,13 +174,13 @@ pub fn materialize(dir: &std::path::Path) -> std::io::Result<()> {
     std::fs::create_dir_all(dir.join("src"))?;
     std::fs::create_dir_all(dir.join("overlay/bin"))?;
     std::fs::create_dir_all(dir.join("refs"))?;
-    std::fs::write(dir.join("onnx-infer.json"), DNN_JSON)?;
-    std::fs::write(dir.join("build.ms"), BUILD_MS)?;
-    std::fs::write(dir.join("install-deps.ms"), INSTALL_DEPS_MS)?;
-    std::fs::write(dir.join("src/dnn-infer.s"), dnn_source())?;
-    std::fs::write(
-        dir.join("refs/uartlog"),
-        format!("onnx-infer checksum: {}\n", known_checksum()),
+    write_if_changed(&dir.join("onnx-infer.json"), DNN_JSON)?;
+    write_if_changed(&dir.join("build.ms"), BUILD_MS)?;
+    write_if_changed(&dir.join("install-deps.ms"), INSTALL_DEPS_MS)?;
+    write_if_changed(&dir.join("src/dnn-infer.s"), dnn_source())?;
+    write_if_changed(
+        &dir.join("refs/uartlog"),
+        format!("onnx-infer checksum: {CHECKSUM}\n"),
     )?;
     Ok(())
 }
@@ -187,6 +188,11 @@ pub fn materialize(dir: &std::path::Path) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn golden_checksum_matches_every_backend() {
+        crate::runtime::assert_golden_checksum("onnx-infer", &dnn_source(), CHECKSUM);
+    }
 
     #[test]
     fn deterministic_inference() {

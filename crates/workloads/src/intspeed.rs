@@ -10,6 +10,7 @@
 //! substitute): a `host-init` script that assembles each source into the
 //! workload overlay, exactly where Listing 2 put Speckle's output.
 
+use crate::registry::write_if_changed;
 use crate::runtime::compose_benchmark;
 
 /// The ten benchmark names, in suite order.
@@ -803,12 +804,12 @@ pub fn materialize(dir: &std::path::Path) -> std::io::Result<()> {
     std::fs::create_dir_all(dir.join("src"))?;
     std::fs::create_dir_all(dir.join("static"))?;
     std::fs::create_dir_all(dir.join("overlay/intspeed/ref/intspeed/bin"))?;
-    std::fs::write(dir.join("intspeed.json"), spec_json())?;
-    std::fs::write(dir.join("speckle-build.ms"), speckle_build_script())?;
-    std::fs::write(dir.join("static/intspeed.sh"), INTSPEED_SH)?;
-    std::fs::write(dir.join("handle-results.ms"), handle_results_script())?;
+    write_if_changed(&dir.join("intspeed.json"), spec_json())?;
+    write_if_changed(&dir.join("speckle-build.ms"), speckle_build_script())?;
+    write_if_changed(&dir.join("static/intspeed.sh"), INTSPEED_SH)?;
+    write_if_changed(&dir.join("handle-results.ms"), handle_results_script())?;
     for (name, source) in benchmarks() {
-        std::fs::write(dir.join("src").join(format!("{name}.s")), source)?;
+        write_if_changed(&dir.join("src").join(format!("{name}.s")), source)?;
     }
     Ok(())
 }

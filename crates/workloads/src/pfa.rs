@@ -5,6 +5,7 @@
 //! `latency-microbenchmark` derives from it with two jobs: a Linux client
 //! measuring per-fault latency and a bare-metal memory server.
 
+use crate::registry::write_if_changed;
 use crate::runtime::compose_benchmark;
 
 /// Listing 1 (upper): the base workload for PFA Linux unit tests.
@@ -175,25 +176,25 @@ pub fn materialize(dir: &std::path::Path) -> std::io::Result<()> {
     std::fs::create_dir_all(dir.join("pfa-test-root/bin"))?;
     std::fs::create_dir_all(dir.join("refs/latency-microbenchmark.client"))?;
     std::fs::create_dir_all(dir.join("refs/latency-microbenchmark.server"))?;
-    std::fs::write(dir.join("pfa-base.json"), PFA_BASE_JSON)?;
-    std::fs::write(dir.join("latency-microbenchmark.json"), LATENCY_JSON)?;
-    std::fs::write(dir.join("pfa-linux.kfrag"), PFA_LINUX_KFRAG)?;
-    std::fs::write(dir.join("pfa.kfrag"), PFA_KFRAG)?;
-    std::fs::write(dir.join("cross-compile.ms"), CROSS_COMPILE_MS)?;
-    std::fs::write(dir.join("extract_csv.ms"), EXTRACT_CSV_MS)?;
-    std::fs::write(dir.join("src/latency.s"), latency_source())?;
-    std::fs::write(dir.join("src/serve.s"), serve_source())?;
-    std::fs::write(
-        dir.join("refs/latency-microbenchmark.client/uartlog"),
+    write_if_changed(&dir.join("pfa-base.json"), PFA_BASE_JSON)?;
+    write_if_changed(&dir.join("latency-microbenchmark.json"), LATENCY_JSON)?;
+    write_if_changed(&dir.join("pfa-linux.kfrag"), PFA_LINUX_KFRAG)?;
+    write_if_changed(&dir.join("pfa.kfrag"), PFA_KFRAG)?;
+    write_if_changed(&dir.join("cross-compile.ms"), CROSS_COMPILE_MS)?;
+    write_if_changed(&dir.join("extract_csv.ms"), EXTRACT_CSV_MS)?;
+    write_if_changed(&dir.join("src/latency.s"), latency_source())?;
+    write_if_changed(&dir.join("src/serve.s"), serve_source())?;
+    write_if_changed(
+        &dir.join("refs/latency-microbenchmark.client/uartlog"),
         CLIENT_REF_UARTLOG,
     )?;
-    std::fs::write(
-        dir.join("refs/latency-microbenchmark.server/uartlog"),
+    write_if_changed(
+        &dir.join("refs/latency-microbenchmark.server/uartlog"),
         SERVER_REF_UARTLOG,
     )?;
     // A marker file in the overlay so the image visibly carries it.
-    std::fs::write(
-        dir.join("pfa-test-root/etc-pfa-note"),
+    write_if_changed(
+        &dir.join("pfa-test-root/etc-pfa-note"),
         "pfa test root overlay\n",
     )?;
     Ok(())

@@ -93,6 +93,57 @@ __inst_str: .asciiz "instret="
     )
 }
 
+/// Assembles `source` (a [`compose_benchmark`] program named `name`), runs
+/// it bare on the qemu profile, and returns the checksum it printed.
+///
+/// # Panics
+///
+/// If the program does not assemble, run, or print a numeric checksum line.
+pub(crate) fn run_checksum(name: &str, source: &str) -> u64 {
+    let exe = marshal_isa::asm::assemble(source, marshal_isa::abi::USER_BASE)
+        .unwrap_or_else(|e| panic!("{name} assembles: {e}"));
+    let result = marshal_sim_functional::Functional::new(marshal_sim_functional::SimKind::Qemu)
+        .launch_bare(&exe.to_bytes())
+        .unwrap_or_else(|e| panic!("{name} runs: {e}"));
+    let prefix = format!("{name} checksum: ");
+    let line = result
+        .serial
+        .lines()
+        .find_map(|l| l.strip_prefix(&prefix))
+        .unwrap_or_else(|| panic!("{name} prints a checksum line: {}", result.serial));
+    line.trim().parse().expect("numeric checksum")
+}
+
+/// The golden-reference oracle: `source` printed `golden` as its checksum
+/// on qemu, spike and rtl alike.
+#[cfg(test)]
+pub(crate) fn assert_golden_checksum(name: &str, source: &str, golden: u64) {
+    use marshal_sim_functional::{Functional, SimKind};
+    use marshal_sim_rtl::{FireSim, HardwareConfig};
+
+    let bin = marshal_isa::asm::assemble(source, marshal_isa::abi::USER_BASE)
+        .expect("assemble")
+        .to_bytes();
+    let qemu = Functional::new(SimKind::Qemu).launch_bare(&bin).unwrap();
+    let spike = Functional::new(SimKind::Spike).launch_bare(&bin).unwrap();
+    let (rtl, _) = FireSim::new(HardwareConfig::rocket())
+        .launch_bare(&bin)
+        .unwrap();
+    let want = format!("{name} checksum: {golden}\n");
+    for (backend, serial) in [
+        ("qemu", &qemu.serial),
+        ("spike", &spike.serial),
+        ("rtl", &rtl.serial),
+    ] {
+        assert!(
+            serial.contains(&want),
+            "{name} on {backend} did not print `{}`; update `CHECKSUM` if you \
+             changed the program source on purpose.\nserial: {serial}",
+            want.trim_end()
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,10 +11,11 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // `help` needs no workload setup (and must not create a workdir).
-    if matches!(parsed.command, marshal_core::cli::Command::Help) {
-        println!("{}", marshal_core::cli::USAGE);
-        return ExitCode::SUCCESS;
+    // `help` and `trace` need no workload setup (and must not create or
+    // touch the workdir).
+    if let Some((code, log)) = marshal_core::cli::run_without_setup(&parsed) {
+        print_log(&log);
+        return ExitCode::from(code as u8);
     }
     let setup = match marshal_workloads::setup(std::path::Path::new(&parsed.workdir)) {
         Ok(s) => s,
@@ -24,8 +25,12 @@ fn main() -> ExitCode {
         }
     };
     let (code, log) = marshal_core::cli::run_command(&parsed, setup.board, setup.search);
+    print_log(&log);
+    ExitCode::from(code as u8)
+}
+
+fn print_log(log: &[String]) {
     for line in log {
         println!("{line}");
     }
-    ExitCode::from(code as u8)
 }

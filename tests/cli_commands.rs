@@ -103,6 +103,25 @@ fn marshal_binary_smoke() {
 }
 
 #[test]
+fn trace_on_a_missing_workdir_creates_nothing() {
+    // `trace` is read-only: the real binary dispatches it before workload
+    // setup, so inspecting a mistyped workdir must not create it.
+    let root = common::tmpdir("cli-trace-readonly");
+    let workdir = root.join("no-such-workdir");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_marshal"))
+        .arg("--workdir")
+        .arg(&workdir)
+        .arg("trace")
+        .output()
+        .expect("run marshal");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("no recorded runs"), "{stdout}");
+    assert!(!workdir.exists(), "trace created {}", workdir.display());
+    std::fs::remove_dir_all(root).unwrap();
+}
+
+#[test]
 fn test_manual_compares_existing_outputs() {
     // §III-E: "users can verify the outputs using the test command with
     // the --manual option to compare outputs as if FireMarshal had run the
