@@ -29,7 +29,7 @@ fn bench_determinism(c: &mut Criterion) {
     let sim = FireSim::new(HardwareConfig::boom_tage());
     let counts: Vec<u64> = (0..3)
         .map(|_| {
-            sim.launch(&boot, Some(&disk), LaunchMode::Run)
+            sim.launch(&boot, Some(&disk), LaunchMode::Run, None)
                 .unwrap()
                 .1
                 .counters
@@ -46,22 +46,24 @@ fn bench_determinism(c: &mut Criterion) {
     group.bench_function("qemu_functional", |b| {
         b.iter(|| {
             Functional::new(SimKind::Qemu)
-                .launch(&boot, Some(&disk), LaunchMode::Run)
+                .launch(&boot, Some(&disk), LaunchMode::Run, None)
                 .unwrap()
+                .0
                 .instructions
         })
     });
     group.bench_function("spike_functional", |b| {
         b.iter(|| {
             Functional::new(SimKind::Spike)
-                .launch(&boot, Some(&disk), LaunchMode::Run)
+                .launch(&boot, Some(&disk), LaunchMode::Run, None)
                 .unwrap()
+                .0
                 .instructions
         })
     });
     group.bench_function("firesim_cycle_exact", |b| {
         b.iter(|| {
-            sim.launch(&boot, Some(&disk), LaunchMode::Run)
+            sim.launch(&boot, Some(&disk), LaunchMode::Run, None)
                 .unwrap()
                 .1
                 .counters

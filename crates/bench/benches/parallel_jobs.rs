@@ -2,70 +2,49 @@
 //! cluster and run in parallel. This optimization reduced the runtime for
 //! our experiment from about two weeks to roughly two days."
 //!
-//! Measures a multi-node cycle-exact cluster run serially vs. in parallel.
+//! Measures the built 10-job `intspeed.json` suite launched cycle-exactly
+//! (`launch --sim rtl --no-checkpoint`) at `-j 1` vs `-j 10`, and asserts
+//! that both widths produce identical per-job serial logs.
 
-use marshal_bench::{criterion_group, criterion_main, Criterion};
+use marshal_bench::{builder_in, criterion_group, criterion_main, scratch, Criterion};
+use marshal_core::launch::{launch_workload, LaunchOptions};
+use marshal_core::BuildOptions;
 use marshal_depgraph::{ExecOptions, Graph, StateDb, Task};
-use marshal_isa::abi;
-use marshal_isa::asm::assemble;
-use marshal_sim_rtl::{FireSim, HardwareConfig, NodePayload};
-
-fn cluster(n: usize) -> Vec<(String, NodePayload)> {
-    // One moderately long bare-metal job per node (identical work, like
-    // the intspeed jobs being independent benchmarks).
-    let exe = assemble(
-        r#"
-_start:
-        li      t0, 400000
-        li      t1, 0
-l:      addi    t1, t1, 3
-        andi    t2, t1, 7
-        beqz    t2, skip
-        xor     t1, t1, t0
-skip:
-        addi    t0, t0, -1
-        bnez    t0, l
-        li      a0, 0
-        li      a7, 93
-        ecall
-"#,
-        abi::USER_BASE,
-    )
-    .unwrap();
-    (0..n)
-        .map(|i| {
-            (
-                format!("job{i}"),
-                NodePayload::Bare {
-                    bin: exe.to_bytes(),
-                },
-            )
-        })
-        .collect()
-}
 
 fn bench_parallel_jobs(c: &mut Criterion) {
-    let sim = FireSim::new(HardwareConfig::rocket());
-    let nodes = cluster(10);
+    let root = scratch("parallel-jobs");
+    let mut builder = builder_in(&root);
+    let products = builder
+        .build("intspeed.json", &BuildOptions::default())
+        .expect("build intspeed");
+    let launch = |threads: usize| {
+        let opts = LaunchOptions {
+            sim: Some("rtl".to_owned()),
+            no_checkpoint: true,
+            threads,
+            ..LaunchOptions::default()
+        };
+        launch_workload(&builder, &products, &opts).expect("launch intspeed")
+    };
 
     // Print the §IV-B data: wall-clock speedup at 10 nodes.
     let t0 = std::time::Instant::now();
-    let serial = sim.launch_cluster(&nodes, false).unwrap();
+    let serial = launch(1);
     let serial_time = t0.elapsed();
     let t0 = std::time::Instant::now();
-    let parallel = sim.launch_cluster(&nodes, true).unwrap();
+    let parallel = launch(10);
     let parallel_time = t0.elapsed();
-    assert_eq!(serial.len(), parallel.len());
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.report.counters.cycles, p.report.counters.cycles);
+    assert_eq!(serial.jobs.len(), 10);
+    assert_eq!(serial.jobs.len(), parallel.jobs.len());
+    for (s, p) in serial.jobs.iter().zip(&parallel.jobs) {
+        assert_eq!(s.job, p.job);
+        assert_eq!(s.serial, p.serial, "{}: -j 1 and -j 10 logs differ", s.job);
     }
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    println!("== §IV-B parallel jobs (10-node intspeed-style cluster) ==");
+    let cores = ExecOptions::host_threads();
+    println!("== §IV-B parallel jobs (10-job intspeed, cycle-exact) ==");
     println!("  host cores: {cores}");
-    println!("  serial:   {serial_time:?}");
-    println!("  parallel: {parallel_time:?}");
+    println!("  -j 1:  {serial_time:?}");
+    println!("  -j 10: {parallel_time:?}");
     println!(
         "  speedup:  {:.2}x — bounded by min(jobs, cores) = {}x; the paper's \
          FPGA cluster ran all 10 nodes concurrently (~2 weeks -> ~2 days)",
@@ -75,16 +54,11 @@ fn bench_parallel_jobs(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("parallel_jobs");
     group.sample_size(10);
-    for (label, par) in [("serial_10_jobs", false), ("parallel_10_jobs", true)] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let results = sim.launch_cluster(&nodes, par).unwrap();
-                assert_eq!(results.len(), 10);
-                results.len()
-            })
-        });
+    for (label, threads) in [("serial_10_jobs", 1), ("parallel_10_jobs", 10)] {
+        group.bench_function(label, |b| b.iter(|| launch(threads).jobs.len()));
     }
     group.finish();
+    let _ = std::fs::remove_dir_all(root);
 }
 
 /// A wide build graph with CPU-bound tasks: one root fanning out to 16

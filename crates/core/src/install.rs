@@ -7,14 +7,17 @@
 //! artifacts are run on both simulators."
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use marshal_config::Value;
-use marshal_sim_rtl::{HardwareConfig, NodePayload, NodeResult};
+use marshal_depgraph::ExecOptions;
+use marshal_sim_functional::{LaunchMode, SimResult};
+use marshal_sim_rtl::{HardwareConfig, PerfReport};
 
-use crate::build::{BuildProducts, Builder, JobKind};
+use crate::build::{BuildProducts, Builder, JobArtifacts, JobKind};
 use crate::error::MarshalError;
-use crate::launch::load_artifacts;
-use crate::simulator::RtlSim;
+use crate::launch::{load_kind, run_sim_tasks, simulate_job, LaunchOptions};
+use crate::simulator::{RtlSim, SimRun, Simulator};
 
 /// The manifest `install` writes for the RTL simulator.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,72 +162,85 @@ pub fn install_workload(
     Ok((manifest, path))
 }
 
+/// One node's cycle-exact simulation outcome.
+#[derive(Debug, Clone)]
+pub struct NodeResult {
+    /// The node (job) name.
+    pub name: String,
+    /// Simulation result (serial log, final image, exit code).
+    pub result: SimResult,
+    /// Performance report.
+    pub report: PerfReport,
+}
+
+impl NodeResult {
+    fn from_run(name: String, run: SimRun) -> NodeResult {
+        NodeResult {
+            name,
+            result: run.result,
+            report: run
+                .report
+                .expect("the cycle-exact backend always produces a report"),
+        }
+    }
+}
+
 /// Runs an installed workload on the cycle-exact backend — "users
 /// interact with the simulator normally", which for this reproduction means
-/// handing the manifest to the registry's [`RtlSim`]. Jobs become cluster
-/// nodes and run in parallel when `parallel` is set (the paper's
-/// two-weeks-to-two-days optimisation).
+/// handing the manifest to the registry's [`RtlSim`]. Each job is one
+/// cluster node, run as a `sim:<job>@rtl` task on the executor `launch`
+/// uses, [`ExecOptions::host_threads`] wide (the paper's
+/// two-weeks-to-two-days optimisation). Nodes load through `launch`'s
+/// checksum-verified loader, and results come back in manifest order.
 ///
 /// # Errors
 ///
-/// Artifact and simulation errors.
+/// [`MarshalError::Corrupt`] when an artifact no longer matches its
+/// checksum sidecar, other artifact errors, and simulation errors: the
+/// first failing node's, in manifest order.
 pub fn run_installed(
     manifest: &InstallManifest,
     hw: HardwareConfig,
-    parallel: bool,
 ) -> Result<Vec<NodeResult>, MarshalError> {
-    let mut nodes = Vec::with_capacity(manifest.jobs.len());
-    for job in &manifest.jobs {
-        let payload = if job.kind == "bare" {
-            let bin = std::fs::read(&job.primary)
-                .map_err(|e| MarshalError::Io(format!("read {}: {e}", job.primary.display())))?;
-            NodePayload::Bare { bin }
+    let sim = Arc::new(RtlSim::new(hw, None));
+    let tasks = manifest.jobs.iter().map(|job| {
+        let kind = if job.kind == "bare" {
+            JobKind::Bare {
+                bin_path: job.primary.clone(),
+            }
         } else {
-            let boot_bytes = std::fs::read(&job.primary)
-                .map_err(|e| MarshalError::Io(format!("read {}: {e}", job.primary.display())))?;
-            let boot = marshal_firmware::BootBinary::from_bytes(&boot_bytes)
-                .map_err(|e| MarshalError::Other(format!("boot binary: {e}")))?;
-            let disk = match &job.disk {
-                Some(p) => {
-                    let bytes = std::fs::read(p)
-                        .map_err(|e| MarshalError::Io(format!("read {}: {e}", p.display())))?;
-                    Some(
-                        marshal_image::FsImage::from_bytes(&bytes)
-                            .map_err(|e| MarshalError::Other(format!("disk image: {e}")))?,
-                    )
-                }
-                None => None,
-            };
-            NodePayload::Linux { boot, disk }
+            JobKind::Linux {
+                boot_path: job.primary.clone(),
+                disk_path: job.disk.clone(),
+            }
         };
-        nodes.push((job.name.clone(), payload));
-    }
-    let sim = RtlSim::new(hw, None);
-    Ok(sim.fire_sim().launch_cluster(&nodes, parallel)?)
+        let (sim, name) = (Arc::clone(&sim), job.name.clone());
+        (format!("sim:{name}@rtl"), move || {
+            let run = sim.run(&load_kind(&kind)?, LaunchMode::Run)?;
+            Ok(NodeResult::from_run(name.clone(), run))
+        })
+    });
+    run_sim_tasks(tasks, ExecOptions::host_threads())
 }
 
 /// Convenience: runs a job's artifacts directly on the cycle-exact
-/// backend without writing a manifest (used by tests and benches).
+/// backend without writing a manifest — `launch --sim rtl --hw <hw>` of
+/// one job, without the checkpoint store.
 ///
 /// # Errors
 ///
 /// Artifact and simulation errors.
 pub fn run_job_cycle_exact(
-    job: &crate::build::JobArtifacts,
+    job: &JobArtifacts,
     hw: HardwareConfig,
 ) -> Result<NodeResult, MarshalError> {
-    use crate::simulator::Simulator;
-    let loaded = load_artifacts(job)?;
-    let sim = RtlSim::new(hw, None);
-    let run = sim.run(&loaded, marshal_sim_functional::LaunchMode::Run)?;
-    let report = run
-        .report
-        .expect("the cycle-exact backend always produces a report");
-    Ok(NodeResult {
-        name: job.name.clone(),
-        result: run.result,
-        report,
-    })
+    let opts = LaunchOptions {
+        sim: Some("rtl".to_owned()),
+        hw: Some(hw),
+        ..LaunchOptions::default()
+    };
+    let run = simulate_job(job, &opts)?;
+    Ok(NodeResult::from_run(job.name.clone(), run))
 }
 
 /// Loads a previously written manifest.

@@ -8,8 +8,10 @@
 //!
 //! Every simulation runs as a task on the depgraph executor
 //! ([`run_sim_tasks`]): `launch`, `test` and `cosim` build one task per
-//! job and spread them over a [`LaunchOptions::threads`]-wide pool. The
-//! results come back in job order, so output is the same at every width.
+//! job and spread them over a [`LaunchOptions::threads`]-wide pool, and
+//! [`crate::install::run_installed`] does the same per installed node.
+//! The results come back in job order, so output is the same at every
+//! width.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -103,7 +105,14 @@ pub struct LaunchOutput {
 /// `build` first); [`MarshalError::Corrupt`] when an artifact no longer
 /// matches its recorded checksum (run `build --force` to rebuild).
 pub fn load_artifacts(job: &JobArtifacts) -> Result<LoadedJob, MarshalError> {
-    match &job.kind {
+    load_kind(&job.kind)
+}
+
+/// [`load_artifacts`] given only a job's [`JobKind`]: `install` loads
+/// manifest nodes through it, so both flows verify the same checksum
+/// sidecars.
+pub(crate) fn load_kind(kind: &JobKind) -> Result<LoadedJob, MarshalError> {
+    match kind {
         JobKind::Linux {
             boot_path,
             disk_path,

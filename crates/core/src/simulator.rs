@@ -6,8 +6,10 @@
 //! backend implements [`Simulator`]: a registry name, the log prefixes
 //! its banner lines carry (so output canonicalization never falls out of
 //! sync with the backend list), its feature tags (e.g. `pfa` from a
-//! custom `pfa-spike` binary), and one `run` entry point taking the same
-//! loaded artifacts regardless of backend.
+//! custom `pfa-spike` binary), and one entry point,
+//! [`Simulator::run_resumed`], taking the same loaded artifacts regardless
+//! of backend. A cold run and a run restored from a boot checkpoint go
+//! through that same method; `resume` is the only difference.
 //!
 //! The registry mirrors [`crate::connector`]: [`simulator_for`] resolves
 //! a name (with aliases) to a boxed backend, [`simulator_names`] lists
@@ -51,14 +53,6 @@ pub trait Simulator: Send + Sync {
     /// of an RTL configuration).
     fn features(&self) -> Vec<String>;
 
-    /// Runs loaded artifacts. Linux jobs boot the full system; bare jobs
-    /// execute the binary directly.
-    ///
-    /// # Errors
-    ///
-    /// Simulation errors ([`MarshalError::Sim`]).
-    fn run(&self, job: &LoadedJob, mode: LaunchMode) -> Result<SimRun, MarshalError>;
-
     /// A stable fingerprint of every configuration knob that can change
     /// what a boot produces on this backend (binary features, extra
     /// arguments, instruction budget, hardware configuration). Part of the
@@ -67,23 +61,34 @@ pub trait Simulator: Send + Sync {
     /// worst a redundant cold boot); under-keying is not.
     fn config_fingerprint(&self) -> Fingerprint;
 
-    /// [`Simulator::run`] with boot checkpointing: when `resume` is given
-    /// (and the job is an eligible Linux `Run`), the boot phase is skipped
-    /// by restoring the snapshot; on an eligible cold boot the returned
-    /// snapshot captures the post-init state for later reuse. Bare jobs
-    /// and ineligible modes run cold and return `None`.
+    /// Runs loaded artifacts — the one simulation entry point every
+    /// backend implements. Linux jobs boot the full system; bare jobs
+    /// execute the binary directly.
+    ///
+    /// `resume` is a boot snapshot to start from. For an eligible Linux
+    /// [`LaunchMode::Run`] it replaces the boot phase, so only the payload
+    /// executes; otherwise it is ignored. On an eligible cold Linux boot
+    /// the returned snapshot captures the post-init state for later reuse.
+    /// Bare jobs and [`LaunchMode::GuestInit`] runs boot cold and return
+    /// `None`.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Simulator::run`].
+    /// Simulation errors ([`MarshalError::Sim`]).
     fn run_resumed(
         &self,
         job: &LoadedJob,
         mode: LaunchMode,
         resume: Option<&BootSnapshot>,
-    ) -> Result<(SimRun, Option<BootSnapshot>), MarshalError> {
-        let _ = resume;
-        Ok((self.run(job, mode)?, None))
+    ) -> Result<(SimRun, Option<BootSnapshot>), MarshalError>;
+
+    /// A cold [`Simulator::run_resumed`] that drops the captured snapshot.
+    ///
+    /// # Errors
+    ///
+    /// See [`Simulator::run_resumed`].
+    fn run(&self, job: &LoadedJob, mode: LaunchMode) -> Result<SimRun, MarshalError> {
+        self.run_resumed(job, mode, None).map(|(run, _)| run)
     }
 }
 
@@ -160,15 +165,23 @@ impl Simulator for FunctionalSim {
         self.sim.config().features.clone()
     }
 
-    fn run(&self, job: &LoadedJob, mode: LaunchMode) -> Result<SimRun, MarshalError> {
-        let result = match job {
-            LoadedJob::Linux { boot, disk } => self.sim.launch(boot, disk.as_ref(), mode)?,
-            LoadedJob::Bare { bin } => self.sim.launch_bare(bin)?,
+    fn run_resumed(
+        &self,
+        job: &LoadedJob,
+        mode: LaunchMode,
+        resume: Option<&BootSnapshot>,
+    ) -> Result<(SimRun, Option<BootSnapshot>), MarshalError> {
+        let (result, captured) = match job {
+            LoadedJob::Linux { boot, disk } => {
+                self.sim.launch(boot, disk.as_ref(), mode, resume)?
+            }
+            LoadedJob::Bare { bin } => (self.sim.launch_bare(bin)?, None),
         };
-        Ok(SimRun {
+        let run = SimRun {
             result,
             report: None,
-        })
+        };
+        Ok((run, captured))
     }
 
     fn config_fingerprint(&self) -> Fingerprint {
@@ -177,29 +190,6 @@ impl Simulator for FunctionalSim {
         h.update_field(self.sim.binary().as_bytes());
         hash_sim_config(&mut h, self.sim.config());
         h.finish()
-    }
-
-    fn run_resumed(
-        &self,
-        job: &LoadedJob,
-        mode: LaunchMode,
-        resume: Option<&BootSnapshot>,
-    ) -> Result<(SimRun, Option<BootSnapshot>), MarshalError> {
-        match job {
-            LoadedJob::Linux { boot, disk } => {
-                let (result, captured) =
-                    self.sim
-                        .launch_checkpointed(boot, disk.as_ref(), mode, resume)?;
-                Ok((
-                    SimRun {
-                        result,
-                        report: None,
-                    },
-                    captured,
-                ))
-            }
-            LoadedJob::Bare { .. } => Ok((self.run(job, mode)?, None)),
-        }
     }
 }
 
@@ -240,12 +230,6 @@ impl RtlSim {
         };
         RtlSim::new(hw, opts.timeout_insts)
     }
-
-    /// The underlying cycle-exact simulator (cluster launches in
-    /// [`crate::install`] need its multi-node entry point).
-    pub fn fire_sim(&self) -> &FireSim {
-        &self.sim
-    }
 }
 
 impl Simulator for RtlSim {
@@ -264,15 +248,26 @@ impl Simulator for RtlSim {
         }
     }
 
-    fn run(&self, job: &LoadedJob, mode: LaunchMode) -> Result<SimRun, MarshalError> {
-        let (result, report) = match job {
-            LoadedJob::Linux { boot, disk } => self.sim.launch(boot, disk.as_ref(), mode)?,
-            LoadedJob::Bare { bin } => self.sim.launch_bare(bin)?,
+    fn run_resumed(
+        &self,
+        job: &LoadedJob,
+        mode: LaunchMode,
+        resume: Option<&BootSnapshot>,
+    ) -> Result<(SimRun, Option<BootSnapshot>), MarshalError> {
+        let (result, report, captured) = match job {
+            LoadedJob::Linux { boot, disk } => {
+                self.sim.launch(boot, disk.as_ref(), mode, resume)?
+            }
+            LoadedJob::Bare { bin } => {
+                let (result, report) = self.sim.launch_bare(bin)?;
+                (result, report, None)
+            }
         };
-        Ok(SimRun {
+        let run = SimRun {
             result,
             report: Some(report),
-        })
+        };
+        Ok((run, captured))
     }
 
     fn config_fingerprint(&self) -> Fingerprint {
@@ -283,29 +278,6 @@ impl Simulator for RtlSim {
         h.update_field(self.sim.hardware().name.as_bytes());
         hash_sim_config(&mut h, &self.sim.sim_config());
         h.finish()
-    }
-
-    fn run_resumed(
-        &self,
-        job: &LoadedJob,
-        mode: LaunchMode,
-        resume: Option<&BootSnapshot>,
-    ) -> Result<(SimRun, Option<BootSnapshot>), MarshalError> {
-        match job {
-            LoadedJob::Linux { boot, disk } => {
-                let (result, report, captured) =
-                    self.sim
-                        .launch_checkpointed(boot, disk.as_ref(), mode, resume)?;
-                Ok((
-                    SimRun {
-                        result,
-                        report: Some(report),
-                    },
-                    captured,
-                ))
-            }
-            LoadedJob::Bare { .. } => Ok((self.run(job, mode)?, None)),
-        }
     }
 }
 
@@ -437,7 +409,7 @@ mod tests {
         s.spike = Some("pfa-spike".to_owned());
         let rtl = RtlSim::for_spec(&s, &BackendOptions::default());
         assert_eq!(rtl.features(), vec!["pfa".to_owned()]);
-        assert!(rtl.fire_sim().hardware().name.contains("pfa"));
+        assert!(rtl.sim.hardware().name.contains("pfa"));
         // An explicit --hw wins over the feature-derived default.
         let rtl = RtlSim::for_spec(
             &s,
@@ -447,7 +419,7 @@ mod tests {
             },
         );
         assert!(rtl.features().is_empty());
-        assert_eq!(rtl.fire_sim().hardware().name, "boom-tage");
+        assert_eq!(rtl.sim.hardware().name, "boom-tage");
     }
 
     #[test]
@@ -504,7 +476,7 @@ mod tests {
     }
 
     #[test]
-    fn run_resumed_default_matches_run_for_bare_jobs() {
+    fn run_matches_run_resumed_for_bare_jobs() {
         let s = spec();
         let backend = simulator_for("qemu", &s, &BackendOptions::default()).unwrap();
         let job = LoadedJob::Bare { bin: Vec::new() };

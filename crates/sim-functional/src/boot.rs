@@ -28,45 +28,30 @@ fn watchdog_fired(err: &SimError, os: &GuestOs) -> bool {
         || matches!(err, SimError::Script(m) if m.contains("instruction budget exhausted"))
 }
 
-/// Boots a Linux workload and runs its payload.
+/// Boots a Linux workload and runs its payload, returning the result and
+/// the boot snapshot captured at the payload seam.
 ///
 /// `disk` is required when the kernel's initramfs hands off to `/dev/vda`
 /// (normal builds) and unused for diskless (`--no-disk`) builds.
+///
+/// With `resume = Some(snapshot)` (and [`LaunchMode::Run`]) the entire boot
+/// phase is skipped: the OS is rebuilt from the snapshot and only the
+/// payload phase executes — `boot` and `disk` are not consulted at all.
+///
+/// On a cold run the boot state is captured at the payload seam, but only
+/// when the boot phase retired zero user instructions: a boot that
+/// executed guest binaries (init scripts exec-ing programs, a
+/// still-pending `guest-init`) would have warmed the cycle-exact
+/// simulator's timing pipeline, and restoring past it could change
+/// modelled time. Refusing to capture keeps restores bit-exact by
+/// construction. [`LaunchMode::GuestInit`] runs never capture or resume —
+/// their purpose is the boot itself.
 ///
 /// # Errors
 ///
 /// [`SimError::BadArtifact`] for inconsistent artifacts (e.g. missing disk),
 /// plus any trap/budget/script error from the payload.
 pub fn simulate_linux<E: Executor>(
-    cfg: &SimConfig,
-    boot: &BootBinary,
-    disk: Option<&FsImage>,
-    mode: LaunchMode,
-    exec: &mut E,
-) -> Result<SimResult, SimError> {
-    let (os, systemd) = boot_linux(cfg, boot, disk, exec)?;
-    run_payload(cfg, os, systemd, mode, exec)
-}
-
-/// [`simulate_linux`] with boot checkpointing.
-///
-/// With `resume = Some(snapshot)` (and [`LaunchMode::Run`]) the entire boot
-/// phase is skipped: the OS is rebuilt from the snapshot and only the
-/// payload phase executes — `boot` and `disk` are not consulted at all.
-///
-/// On a cold run the boot state is captured at the payload seam and
-/// returned alongside the result, but only when the boot phase retired zero
-/// user instructions: a boot that executed guest binaries (init scripts
-/// exec-ing programs, a still-pending `guest-init`) would have warmed the
-/// cycle-exact simulator's timing pipeline, and restoring past it could
-/// change modelled time. Refusing to capture keeps restores bit-exact by
-/// construction. [`LaunchMode::GuestInit`] runs never capture or resume —
-/// their purpose is the boot itself.
-///
-/// # Errors
-///
-/// Exactly those of [`simulate_linux`].
-pub fn simulate_linux_checkpointed<E: Executor>(
     cfg: &SimConfig,
     boot: &BootBinary,
     disk: Option<&FsImage>,
@@ -367,6 +352,16 @@ mod tests {
     use marshal_linux::kernel::{build_kernel, KernelSource};
     use marshal_linux::InitramfsSpec;
 
+    /// A functional run that drops the captured snapshot.
+    fn run(
+        cfg: &SimConfig,
+        boot: &BootBinary,
+        disk: Option<&FsImage>,
+        mode: LaunchMode,
+    ) -> Result<SimResult, SimError> {
+        simulate_linux(cfg, boot, disk, mode, &mut FunctionalExecutor, None).map(|(r, _)| r)
+    }
+
     fn boot_binary(diskless_rootfs: Option<FsImage>) -> BootBinary {
         let config = KernelConfig::riscv_defconfig();
         let src = KernelSource::default_source();
@@ -414,8 +409,7 @@ _start:
         let cfg = SimConfig::new(SimKind::Qemu);
         let boot = boot_binary(None);
         let disk = disk_with_payload("/bin/payload");
-        let mut fexec = FunctionalExecutor;
-        let result = simulate_linux(&cfg, &boot, Some(&disk), LaunchMode::Run, &mut fexec).unwrap();
+        let result = run(&cfg, &boot, Some(&disk), LaunchMode::Run).unwrap();
         let serial = &result.serial;
         assert!(serial.contains("OpenSBI"), "firmware banner: {serial}");
         assert!(serial.contains("Linux version"), "kernel banner");
@@ -431,8 +425,7 @@ _start:
         let cfg = SimConfig::new(SimKind::Qemu);
         let boot = boot_binary(None);
         let disk = disk_with_payload("/bin/payload");
-        let mut fexec = FunctionalExecutor;
-        let result = simulate_linux(&cfg, &boot, Some(&disk), LaunchMode::Run, &mut fexec).unwrap();
+        let result = run(&cfg, &boot, Some(&disk), LaunchMode::Run).unwrap();
         let s = &result.serial;
         let fw = s.find("OpenSBI").unwrap();
         let kernel = s.find("Linux version").unwrap();
@@ -447,9 +440,8 @@ _start:
     fn missing_disk_is_error() {
         let cfg = SimConfig::new(SimKind::Qemu);
         let boot = boot_binary(None);
-        let mut fexec = FunctionalExecutor;
         assert!(matches!(
-            simulate_linux(&cfg, &boot, None, LaunchMode::Run, &mut fexec),
+            run(&cfg, &boot, None, LaunchMode::Run),
             Err(SimError::BadArtifact(_))
         ));
     }
@@ -459,8 +451,7 @@ _start:
         let rootfs = disk_with_payload("/bin/payload");
         let cfg = SimConfig::new(SimKind::Qemu);
         let boot = boot_binary(Some(rootfs));
-        let mut fexec = FunctionalExecutor;
-        let result = simulate_linux(&cfg, &boot, None, LaunchMode::Run, &mut fexec).unwrap();
+        let result = run(&cfg, &boot, None, LaunchMode::Run).unwrap();
         assert!(result.serial.contains("switching root to initramfs"));
         assert!(result.serial.contains("payload ran"));
     }
@@ -475,9 +466,7 @@ _start:
             "#!mscript\nprint(\"guest-init!\")\nwrite_file(\"/etc/setup-done\", \"yes\")\n",
         )
         .unwrap();
-        let mut fexec = FunctionalExecutor;
-        let result =
-            simulate_linux(&cfg, &boot, Some(&disk), LaunchMode::GuestInit, &mut fexec).unwrap();
+        let result = run(&cfg, &boot, Some(&disk), LaunchMode::GuestInit).unwrap();
         assert!(result.serial.contains("guest-init!"));
         // Payload NOT run in guest-init mode.
         assert!(!result.serial.contains("payload ran"));
@@ -486,8 +475,7 @@ _start:
         assert!(!initsys::guest_init_pending(&image));
 
         // Booting the post-init image again: guest-init must not re-run.
-        let result2 =
-            simulate_linux(&cfg, &boot, Some(&image), LaunchMode::Run, &mut fexec).unwrap();
+        let result2 = run(&cfg, &boot, Some(&image), LaunchMode::Run).unwrap();
         assert!(!result2.serial.contains("guest-init!"));
         assert!(result2.serial.contains("payload ran"));
     }
@@ -498,8 +486,7 @@ _start:
         let boot = boot_binary(None);
         let mut disk = FsImage::new();
         disk.mkdir_p("/etc/init.d").unwrap();
-        let mut fexec = FunctionalExecutor;
-        let result = simulate_linux(&cfg, &boot, Some(&disk), LaunchMode::Run, &mut fexec).unwrap();
+        let result = run(&cfg, &boot, Some(&disk), LaunchMode::Run).unwrap();
         assert!(result.serial.contains("interactive console"));
     }
 
@@ -513,8 +500,7 @@ _start:
             .unwrap();
         let exe = assemble("_start:\n li a0, 0\n li a7, 93\n ecall\n", abi::USER_BASE).unwrap();
         disk.write_exec("/bin/payload", &exe.to_bytes()).unwrap();
-        let mut fexec = FunctionalExecutor;
-        let result = simulate_linux(&cfg, &boot, Some(&disk), LaunchMode::Run, &mut fexec).unwrap();
+        let result = run(&cfg, &boot, Some(&disk), LaunchMode::Run).unwrap();
         assert!(result.serial.contains("Multi-User System"));
         assert!(result
             .serial
@@ -561,8 +547,7 @@ _start:
         InitSystem::Initd
             .install_payload(&mut disk, &BootPayload::Command("/bin/spin".to_owned()))
             .unwrap();
-        let mut fexec = FunctionalExecutor;
-        let result = simulate_linux(&cfg, &boot, Some(&disk), LaunchMode::Run, &mut fexec).unwrap();
+        let result = run(&cfg, &boot, Some(&disk), LaunchMode::Run).unwrap();
         assert!(result.timed_out);
         assert!(!result.success());
         assert_eq!(result.exit_code, WATCHDOG_EXIT_CODE);
@@ -589,10 +574,7 @@ _start:
         let spin = assemble("_start:\n j _start\n", abi::USER_BASE).unwrap();
         disk.write_exec("/bin/spin", &spin.to_bytes()).unwrap();
         initsys::install_guest_init(&mut disk, "#!mscript\nexec(\"/bin/spin\")\n").unwrap();
-        let mut fexec = FunctionalExecutor;
-        assert!(
-            simulate_linux(&cfg, &boot, Some(&disk), LaunchMode::GuestInit, &mut fexec).is_err()
-        );
+        assert!(run(&cfg, &boot, Some(&disk), LaunchMode::GuestInit).is_err());
     }
 
     #[test]
@@ -612,9 +594,8 @@ _start:
         let cfg = SimConfig::new(SimKind::Qemu);
         let boot = boot_binary(None);
         let disk = disk_with_payload("/bin/payload");
-        let mut fexec = FunctionalExecutor;
-        let a = simulate_linux(&cfg, &boot, Some(&disk), LaunchMode::Run, &mut fexec).unwrap();
-        let b = simulate_linux(&cfg, &boot, Some(&disk), LaunchMode::Run, &mut fexec).unwrap();
+        let a = run(&cfg, &boot, Some(&disk), LaunchMode::Run).unwrap();
+        let b = run(&cfg, &boot, Some(&disk), LaunchMode::Run).unwrap();
         assert_eq!(a.serial, b.serial);
         assert_eq!(a.instructions, b.instructions);
     }
@@ -623,21 +604,18 @@ _start:
     fn different_simulators_differ_only_in_volatile_lines() {
         let boot = boot_binary(None);
         let disk = disk_with_payload("/bin/payload");
-        let mut fexec = FunctionalExecutor;
-        let q = simulate_linux(
+        let q = run(
             &SimConfig::new(SimKind::Qemu),
             &boot,
             Some(&disk),
             LaunchMode::Run,
-            &mut fexec,
         )
         .unwrap();
-        let s = simulate_linux(
+        let s = run(
             &SimConfig::new(SimKind::Spike),
             &boot,
             Some(&disk),
             LaunchMode::Run,
-            &mut fexec,
         )
         .unwrap();
         // Raw logs differ (timestamps, banner)...

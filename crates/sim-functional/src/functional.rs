@@ -11,7 +11,7 @@
 use marshal_firmware::BootBinary;
 use marshal_image::FsImage;
 
-use crate::boot::{simulate_bare, simulate_linux, simulate_linux_checkpointed};
+use crate::boot::{simulate_bare, simulate_linux};
 use crate::checkpoint::BootSnapshot;
 use crate::guest::FunctionalExecutor;
 use crate::machine::{LaunchMode, SimConfig, SimError, SimKind, SimResult};
@@ -93,7 +93,8 @@ impl Functional {
         &self.binary
     }
 
-    /// Boots a Linux workload.
+    /// Boots a Linux workload, resuming from `resume` when given, and
+    /// returns the boot snapshot captured on an eligible cold run.
     ///
     /// # Errors
     ///
@@ -103,27 +104,10 @@ impl Functional {
         boot: &BootBinary,
         disk: Option<&FsImage>,
         mode: LaunchMode,
-    ) -> Result<SimResult, SimError> {
-        let mut exec = FunctionalExecutor;
-        simulate_linux(&self.config, boot, disk, mode, &mut exec)
-    }
-
-    /// [`Functional::launch`] with boot checkpointing: resumes from
-    /// `resume` when given, and returns a capturable boot snapshot on an
-    /// eligible cold run.
-    ///
-    /// # Errors
-    ///
-    /// See [`simulate_linux_checkpointed`].
-    pub fn launch_checkpointed(
-        &self,
-        boot: &BootBinary,
-        disk: Option<&FsImage>,
-        mode: LaunchMode,
         resume: Option<&BootSnapshot>,
     ) -> Result<(SimResult, Option<BootSnapshot>), SimError> {
         let mut exec = FunctionalExecutor;
-        simulate_linux_checkpointed(&self.config, boot, disk, mode, &mut exec, resume)
+        simulate_linux(&self.config, boot, disk, mode, &mut exec, resume)
     }
 
     /// Runs a bare-metal binary.

@@ -2,14 +2,12 @@
 //!
 //! Runs FireMarshal workloads cycle-exactly: the same boot model and the
 //! same guest binaries as the functional simulators, with a
-//! [`Pipeline`] timing every retired instruction. Supports multi-node
-//! cluster simulations for `jobs` workloads (the intspeed suite's ten
-//! parallel nodes, the PFA client/server pair).
+//! [`Pipeline`] timing every retired instruction.
 
 use marshal_firmware::BootBinary;
 use marshal_image::FsImage;
 use marshal_isa::MexeFile;
-use marshal_sim_functional::boot::{simulate_linux, simulate_linux_checkpointed};
+use marshal_sim_functional::boot::simulate_linux;
 use marshal_sim_functional::checkpoint::BootSnapshot;
 use marshal_sim_functional::guest::{Executor, GuestOs};
 use marshal_sim_functional::machine::{LaunchMode, SimConfig, SimError, SimKind, SimResult};
@@ -140,38 +138,6 @@ impl Executor for TimedExecutor {
     }
 }
 
-/// What a cluster node runs.
-///
-/// The `Linux` variant dominates in size and in frequency — boxing it would
-/// add an allocation per node for no saving in the common case.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum NodePayload {
-    /// A Linux workload: boot binary plus optional disk image.
-    Linux {
-        /// The boot binary.
-        boot: BootBinary,
-        /// The disk image (None for diskless builds).
-        disk: Option<FsImage>,
-    },
-    /// A bare-metal binary.
-    Bare {
-        /// The MEXE program bytes.
-        bin: Vec<u8>,
-    },
-}
-
-/// One node's simulation outcome.
-#[derive(Debug, Clone)]
-pub struct NodeResult {
-    /// The node (job) name.
-    pub name: String,
-    /// Simulation result (serial log, final image, exit code).
-    pub result: SimResult,
-    /// Performance report.
-    pub report: PerfReport,
-}
-
 /// The cycle-exact simulator.
 ///
 /// ```rust
@@ -228,7 +194,13 @@ impl FireSim {
         }
     }
 
-    /// Boots a Linux workload cycle-exactly.
+    /// Boots a Linux workload cycle-exactly, resuming from `resume` when
+    /// given, and returns the boot snapshot captured on an eligible cold
+    /// run.
+    ///
+    /// Restoring is cycle-exact because snapshots are only captured when
+    /// the boot retired zero user instructions — the pipeline is cold at
+    /// the seam either way (see [`simulate_linux`]).
     ///
     /// # Errors
     ///
@@ -238,34 +210,11 @@ impl FireSim {
         boot: &BootBinary,
         disk: Option<&FsImage>,
         mode: LaunchMode,
-    ) -> Result<(SimResult, PerfReport), SimError> {
-        let cfg = self.sim_config();
-        let mut exec = TimedExecutor::new(&self.hw);
-        let result = simulate_linux(&cfg, boot, disk, mode, &mut exec)?;
-        Ok((result, self.report(&exec)))
-    }
-
-    /// [`FireSim::launch`] with boot checkpointing.
-    ///
-    /// Restoring is cycle-exact because snapshots are only captured when
-    /// the boot retired zero user instructions — the pipeline is cold at
-    /// the seam either way (see
-    /// [`simulate_linux_checkpointed`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FireSim::launch`].
-    pub fn launch_checkpointed(
-        &self,
-        boot: &BootBinary,
-        disk: Option<&FsImage>,
-        mode: LaunchMode,
         resume: Option<&BootSnapshot>,
     ) -> Result<(SimResult, PerfReport, Option<BootSnapshot>), SimError> {
         let cfg = self.sim_config();
         let mut exec = TimedExecutor::new(&self.hw);
-        let (result, captured) =
-            simulate_linux_checkpointed(&cfg, boot, disk, mode, &mut exec, resume)?;
+        let (result, captured) = simulate_linux(&cfg, boot, disk, mode, &mut exec, resume)?;
         Ok((result, self.report(&exec), captured))
     }
 
@@ -348,50 +297,6 @@ impl FireSim {
             report,
         ))
     }
-
-    /// Runs a multi-node cluster: one simulated node per job. With
-    /// `parallel`, nodes run on OS threads — the optimisation that cut the
-    /// paper's SPEC2017 experiment "from about two weeks to roughly two
-    /// days".
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing node's error (by node order).
-    pub fn launch_cluster(
-        &self,
-        nodes: &[(String, NodePayload)],
-        parallel: bool,
-    ) -> Result<Vec<NodeResult>, SimError> {
-        let run_node = |name: &String, payload: &NodePayload| -> Result<NodeResult, SimError> {
-            let (result, report) = match payload {
-                NodePayload::Linux { boot, disk } => {
-                    self.launch(boot, disk.as_ref(), LaunchMode::Run)?
-                }
-                NodePayload::Bare { bin } => self.launch_bare(bin)?,
-            };
-            Ok(NodeResult {
-                name: name.clone(),
-                result,
-                report,
-            })
-        };
-        if !parallel {
-            return nodes
-                .iter()
-                .map(|(name, payload)| run_node(name, payload))
-                .collect();
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = nodes
-                .iter()
-                .map(|(name, payload)| scope.spawn(move || run_node(name, payload)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("node thread panicked"))
-                .collect()
-        })
-    }
 }
 
 #[cfg(test)]
@@ -469,8 +374,12 @@ nofb:
         let sim = FireSim::new(HardwareConfig::boom_tage());
         let boot = boot_binary();
         let disk = disk_with(&branchy_program());
-        let (r1, p1) = sim.launch(&boot, Some(&disk), LaunchMode::Run).unwrap();
-        let (r2, p2) = sim.launch(&boot, Some(&disk), LaunchMode::Run).unwrap();
+        let (r1, p1, _) = sim
+            .launch(&boot, Some(&disk), LaunchMode::Run, None)
+            .unwrap();
+        let (r2, p2, _) = sim
+            .launch(&boot, Some(&disk), LaunchMode::Run, None)
+            .unwrap();
         assert_eq!(p1.counters.cycles, p2.counters.cycles);
         assert_eq!(r1.serial, r2.serial);
     }
@@ -482,9 +391,13 @@ nofb:
         let boot = boot_binary();
         let disk = disk_with(&branchy_program());
         let qemu = Functional::new(SimKind::Qemu);
-        let functional = qemu.launch(&boot, Some(&disk), LaunchMode::Run).unwrap();
+        let (functional, _) = qemu
+            .launch(&boot, Some(&disk), LaunchMode::Run, None)
+            .unwrap();
         let sim = FireSim::new(HardwareConfig::rocket());
-        let (timed, _) = sim.launch(&boot, Some(&disk), LaunchMode::Run).unwrap();
+        let (timed, _, _) = sim
+            .launch(&boot, Some(&disk), LaunchMode::Run, None)
+            .unwrap();
         assert_eq!(functional.instructions, timed.instructions);
         assert_eq!(functional.exit_code, timed.exit_code);
         assert!(timed.serial.contains("done"));
@@ -494,11 +407,11 @@ nofb:
     fn tage_beats_gshare_on_branchy_code() {
         let boot = boot_binary();
         let disk = disk_with(&branchy_program());
-        let (_, gshare) = FireSim::new(HardwareConfig::boom_gshare())
-            .launch(&boot, Some(&disk), LaunchMode::Run)
+        let (_, gshare, _) = FireSim::new(HardwareConfig::boom_gshare())
+            .launch(&boot, Some(&disk), LaunchMode::Run, None)
             .unwrap();
-        let (_, tage) = FireSim::new(HardwareConfig::boom_tage())
-            .launch(&boot, Some(&disk), LaunchMode::Run)
+        let (_, tage, _) = FireSim::new(HardwareConfig::boom_tage())
+            .launch(&boot, Some(&disk), LaunchMode::Run, None)
             .unwrap();
         assert_eq!(
             gshare.counters.instructions, tage.counters.instructions,
@@ -525,33 +438,6 @@ nofb:
         assert_eq!(result.exit_code, 0);
         assert!(report.counters.cycles >= report.counters.instructions);
         assert!(result.serial.contains("cycles"));
-    }
-
-    #[test]
-    fn cluster_parallel_matches_serial() {
-        let exe = assemble(
-            "_start:\n li t0, 5000\nl: addi t0, t0, -1\n bnez t0, l\n li a0, 0\n li a7, 93\n ecall\n",
-            abi::USER_BASE,
-        )
-        .unwrap();
-        let nodes: Vec<(String, NodePayload)> = (0..4)
-            .map(|i| {
-                (
-                    format!("job{i}"),
-                    NodePayload::Bare {
-                        bin: exe.to_bytes(),
-                    },
-                )
-            })
-            .collect();
-        let sim = FireSim::new(HardwareConfig::rocket());
-        let serial = sim.launch_cluster(&nodes, false).unwrap();
-        let parallel = sim.launch_cluster(&nodes, true).unwrap();
-        assert_eq!(serial.len(), 4);
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.name, p.name);
-            assert_eq!(s.report.counters.cycles, p.report.counters.cycles);
-        }
     }
 
     #[test]
@@ -587,7 +473,9 @@ l:      addi    t1, t1, -1
         let boot = boot_binary();
         let disk = disk_with(&branchy_program());
         let sim = FireSim::new(HardwareConfig::rocket());
-        let (_, report) = sim.launch(&boot, Some(&disk), LaunchMode::Run).unwrap();
+        let (_, report, _) = sim
+            .launch(&boot, Some(&disk), LaunchMode::Run, None)
+            .unwrap();
         assert!(
             report.counters.kernel_cycles > 0,
             "syscalls cost kernel time"

@@ -18,8 +18,7 @@
 //! - [`pfa`]: the Page Fault Accelerator model and its software-paging
 //!   baseline (the §IV-A case study).
 //! - [`nic`]: the RDMA NIC + network model the PFA fetches pages through.
-//! - [`firesim`]: the top-level driver, including multi-node cluster runs
-//!   for `jobs` workloads.
+//! - [`firesim`]: the top-level driver.
 //!
 //! Determinism is absolute: identical artifacts and configuration produce
 //! identical cycle counts, which is the property the paper's education case
@@ -36,7 +35,7 @@ pub mod pfa;
 pub mod pipeline;
 
 pub use config::{BpredConfig, CacheConfig, CoreConfig, HardwareConfig, RemoteMemConfig};
-pub use firesim::{FireSim, NodePayload, NodeResult, PerfReport};
+pub use firesim::{FireSim, PerfReport};
 pub use nic::NicModel;
 pub use pfa::PfaStats;
 pub use pipeline::PerfCounters;

@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // (b) healthy silicon: the cycle-exact simulator, same artifacts.
         let (manifest, _) = install::install_workload(&builder, &products)?;
-        let healthy = install::run_installed(&manifest, HardwareConfig::rocket(), false)?;
+        let healthy = install::run_installed(&manifest, HardwareConfig::rocket())?;
         let silicon = marshal_core::test::compare_run(
             &products,
             &healthy
@@ -99,8 +99,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     &boot,
                     Some(&disk),
                     marshal_sim_functional::LaunchMode::Run,
+                    None,
                 ) {
-                    Ok((r, _)) => r.serial,
+                    Ok((r, _, _)) => r.serial,
                     Err(e) => format!("boot failure: {e}\n"),
                 }
             } else {

@@ -61,7 +61,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let nodes = marshal_core::install::run_installed(
         &manifest,
         marshal_sim_rtl::HardwareConfig::boom_tage(),
-        false,
     )?;
     let report = &nodes[0].report;
     println!(

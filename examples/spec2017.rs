@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "\nrunning {config_name} ({} parallel nodes)...",
             manifest.jobs.len()
         );
-        let nodes = install::run_installed(&manifest, hw, true)?;
+        let nodes = install::run_installed(&manifest, hw)?;
 
         // Collect per-node outputs the way FireSim hands them back, then
         // run the workload's own post-run hook to produce Listing 3's CSV.

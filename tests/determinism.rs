@@ -34,8 +34,12 @@ fn cycle_counts_repeat_exactly() {
     ] {
         let name = hw.name.clone();
         let sim = FireSim::new(hw);
-        let (r1, p1) = sim.launch(&boot, Some(&disk), LaunchMode::Run).unwrap();
-        let (r2, p2) = sim.launch(&boot, Some(&disk), LaunchMode::Run).unwrap();
+        let (r1, p1, _) = sim
+            .launch(&boot, Some(&disk), LaunchMode::Run, None)
+            .unwrap();
+        let (r2, p2, _) = sim
+            .launch(&boot, Some(&disk), LaunchMode::Run, None)
+            .unwrap();
         assert_eq!(
             p1.counters.cycles, p2.counters.cycles,
             "{name}: cycle counts must repeat exactly"

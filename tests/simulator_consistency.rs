@@ -28,14 +28,14 @@ fn same_artifacts_same_cleaned_output_on_all_simulators() {
     let boot = BootBinary::from_bytes(&std::fs::read(boot_path).unwrap()).unwrap();
     let disk = FsImage::from_bytes(&std::fs::read(disk_path.as_ref().unwrap()).unwrap()).unwrap();
 
-    let qemu = Functional::new(SimKind::Qemu)
-        .launch(&boot, Some(&disk), LaunchMode::Run)
+    let (qemu, _) = Functional::new(SimKind::Qemu)
+        .launch(&boot, Some(&disk), LaunchMode::Run, None)
         .unwrap();
-    let spike = Functional::new(SimKind::Spike)
-        .launch(&boot, Some(&disk), LaunchMode::Run)
+    let (spike, _) = Functional::new(SimKind::Spike)
+        .launch(&boot, Some(&disk), LaunchMode::Run, None)
         .unwrap();
-    let (firesim, report) = FireSim::new(HardwareConfig::rocket())
-        .launch(&boot, Some(&disk), LaunchMode::Run)
+    let (firesim, report, _) = FireSim::new(HardwareConfig::rocket())
+        .launch(&boot, Some(&disk), LaunchMode::Run, None)
         .unwrap();
 
     // Identical instruction streams on all three simulators.
@@ -122,11 +122,11 @@ fn final_images_identical_across_simulators() {
     };
     let boot = BootBinary::from_bytes(&std::fs::read(boot_path).unwrap()).unwrap();
     let disk = FsImage::from_bytes(&std::fs::read(disk_path.as_ref().unwrap()).unwrap()).unwrap();
-    let qemu = Functional::new(SimKind::Qemu)
-        .launch(&boot, Some(&disk), LaunchMode::Run)
+    let (qemu, _) = Functional::new(SimKind::Qemu)
+        .launch(&boot, Some(&disk), LaunchMode::Run, None)
         .unwrap();
-    let (firesim, _) = FireSim::new(HardwareConfig::boom_tage())
-        .launch(&boot, Some(&disk), LaunchMode::Run)
+    let (firesim, _, _) = FireSim::new(HardwareConfig::boom_tage())
+        .launch(&boot, Some(&disk), LaunchMode::Run, None)
         .unwrap();
     let qi = qemu.image.unwrap();
     let fi = firesim.image.unwrap();
@@ -165,7 +165,7 @@ fn install_then_cycle_exact_run_passes_same_test() {
     let hw = HardwareConfig::rocket().with_remote(marshal_sim_rtl::RemoteMemConfig::Pfa(
         marshal_sim_rtl::pfa::RemoteTimings::default(),
     ));
-    let nodes = marshal_core::install::run_installed(&manifest, hw, false).unwrap();
+    let nodes = marshal_core::install::run_installed(&manifest, hw).unwrap();
     let cycle_exact = marshal_core::test::compare_run(
         &products,
         &nodes
