@@ -441,6 +441,28 @@ nofb:
     }
 
     #[test]
+    fn bare_metal_watchdog_salvages_serial_and_counters() {
+        let exe = assemble("_start:\n j _start\n", abi::USER_BASE).unwrap();
+        let sim = FireSim::new(HardwareConfig::rocket()).with_budget(1000);
+        let (result, report) = sim.launch_bare(&exe.to_bytes()).unwrap();
+        assert_eq!(
+            result.exit_code,
+            marshal_sim_functional::machine::WATCHDOG_EXIT_CODE
+        );
+        assert!(result.timed_out);
+        // The budget check runs before each step, so the instruction that
+        // crosses the budget retires (and is timed) before the watchdog fires.
+        assert_eq!(result.instructions, 1001);
+        assert_eq!(report.counters.instructions, 1001);
+        assert_eq!(
+            result.serial,
+            "firesim: bare-metal node (rocket)\n\
+             firesim: watchdog: instruction budget exhausted (1000 instructions); \
+             terminating hung guest\n"
+        );
+    }
+
+    #[test]
     fn rdcycle_sees_modelled_time() {
         // A program that reads rdcycle twice around a delay loop and exits
         // with the delta scaled down; the delta must exceed the instruction

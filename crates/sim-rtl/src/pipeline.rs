@@ -352,19 +352,22 @@ loop:   addi    t0, t0, -1
 
     #[test]
     fn dcache_miss_costs_dram_latency() {
-        // Two loads to the same line: one miss, one hit.
-        let src = r#"
-_start:
-        li      t0, 0x4000
-        ld      a0, 0(t0)
-        ld      a1, 8(t0)
-        ecall
-"#;
+        // Two loads to one line (a miss, then a hit) against two loads to
+        // different lines (two misses), with identical code layout: only
+        // the second load's D-cache outcome differs.
+        let two_loads = |second: u32| {
+            format!("_start:\n li t0, 0x4000\n ld a0, 0(t0)\n ld a1, {second}(t0)\n ecall\n")
+        };
         let hw = HardwareConfig::rocket();
-        let (_, c) = time_program(src, &hw);
-        assert_eq!(c.loads, 2);
-        let pipe_stats = c;
-        let _ = pipe_stats;
+        let (same_line, c_same) = time_program(&two_loads(8), &hw);
+        let (other_line, c_other) = time_program(&two_loads(64), &hw);
+        assert_eq!(c_same.loads, 2);
+        assert_eq!(c_other.loads, 2);
+        assert_eq!(
+            other_line - same_line,
+            hw.dram_latency - (hw.dcache.hit_latency - 1),
+            "a D-cache miss costs DRAM latency instead of the hit latency"
+        );
     }
 
     #[test]

@@ -382,23 +382,27 @@ fn launch_intspeed(root: &std::path::Path, threads: usize, extra: &[&str]) -> (i
 #[test]
 fn multi_job_timeout_reports_the_same_at_every_width() {
     // A budget between omnetpp's ~3.1 M instructions and every other
-    // job's: one job out of ten hangs, whichever worker runs it.
+    // job's: one job out of ten hangs, whichever worker runs it. The
+    // default backend and the timed one enforce the budget alike.
     let root = common::tmpdir("rob-timeout-j");
-    let budget = ["--timeout-insts", "2000000"];
-    let (serial_code, serial_log) = launch_intspeed(&root, 1, &budget);
-    let (parallel_code, parallel_log) = launch_intspeed(&root, 4, &budget);
-    assert_eq!(serial_code, cli::EXIT_TIMED_OUT, "{serial_log:?}");
-    assert_eq!(parallel_code, cli::EXIT_TIMED_OUT, "{parallel_log:?}");
-    assert_eq!(serial_log, parallel_log, "-j 1 and -j 4 report alike");
-    let timed_out: Vec<&String> = serial_log
-        .iter()
-        .filter(|l| l.contains("TIMED OUT"))
-        .collect();
-    assert_eq!(timed_out.len(), 1, "{serial_log:?}");
-    assert!(
-        timed_out[0].contains("intspeed.620.omnetpp_s"),
-        "{timed_out:?}"
-    );
+    for backend in [&[][..], &["--sim", "rtl"][..]] {
+        let mut extra = vec!["--timeout-insts", "2000000"];
+        extra.extend(backend);
+        let (serial_code, serial_log) = launch_intspeed(&root, 1, &extra);
+        let (parallel_code, parallel_log) = launch_intspeed(&root, 4, &extra);
+        assert_eq!(serial_code, cli::EXIT_TIMED_OUT, "{serial_log:?}");
+        assert_eq!(parallel_code, cli::EXIT_TIMED_OUT, "{parallel_log:?}");
+        assert_eq!(serial_log, parallel_log, "-j 1 and -j 4 report alike");
+        let timed_out: Vec<&String> = serial_log
+            .iter()
+            .filter(|l| l.contains("TIMED OUT"))
+            .collect();
+        assert_eq!(timed_out.len(), 1, "{backend:?}: {serial_log:?}");
+        assert!(
+            timed_out[0].contains("intspeed.620.omnetpp_s"),
+            "{timed_out:?}"
+        );
+    }
     let _ = std::fs::remove_dir_all(root);
 }
 
