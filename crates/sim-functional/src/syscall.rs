@@ -3,8 +3,12 @@
 //! Programs run in a flat user address space with a downward-growing stack.
 //! `ecall`s are serviced against an [`OsServices`] implementation — the
 //! functional guest OS here, or the cycle-exact simulator's timed variant.
-//! The step-wise API ([`UserRunner::step`]) exposes every retired
-//! instruction so a timing model can observe the exact same execution.
+//!
+//! There is one run loop, [`UserRunner::run_observed`], and both backends
+//! use it. A timing model is an observer of that loop: it sees every
+//! retired instruction and serviced syscall right after it happens, so it
+//! times the exact execution the functional simulators run, under the same
+//! budget check. [`UserRunner::run`] is the loop with no observer.
 
 use std::collections::BTreeMap;
 
@@ -195,12 +199,7 @@ impl UserRunner {
     }
 
     /// Executes one instruction (servicing a syscall if it is an `ecall`).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Trap`] on architectural traps, [`SimError::BadArtifact`]
-    /// after exit.
-    pub fn step<S: OsServices + ?Sized>(&mut self, os: &mut S) -> Result<UserStep, SimError> {
+    fn step<S: OsServices + ?Sized>(&mut self, os: &mut S) -> Result<UserStep, SimError> {
         if let Some(code) = self.exited {
             return Ok(UserStep::Exited(code));
         }
@@ -243,13 +242,37 @@ impl UserRunner {
     ///
     /// # Errors
     ///
-    /// [`SimError::Budget`] when the budget is exhausted, plus any error
-    /// from [`UserRunner::step`].
+    /// [`SimError::Budget`] when the budget is exhausted, and
+    /// [`SimError::Trap`] on architectural traps.
     pub fn run<S: OsServices + ?Sized>(
         &mut self,
         os: &mut S,
         max_instructions: u64,
     ) -> Result<(i64, u64), SimError> {
+        self.run_observed(os, max_instructions, |_, _, _| {})
+    }
+
+    /// [`UserRunner::run`], calling `observe` after every step that did not
+    /// exit: an instruction retired or a syscall serviced.
+    ///
+    /// The observer gets the CPU mutably so a timing model can write its
+    /// modelled cycles back for `rdcycle`. The budget is checked before
+    /// each step, so when it runs out the step that crossed it has
+    /// retired and been observed.
+    ///
+    /// # Errors
+    ///
+    /// As for [`UserRunner::run`].
+    pub fn run_observed<S, F>(
+        &mut self,
+        os: &mut S,
+        max_instructions: u64,
+        mut observe: F,
+    ) -> Result<(i64, u64), SimError>
+    where
+        S: OsServices + ?Sized,
+        F: FnMut(&mut Cpu, &UserBus, &UserStep),
+    {
         let start = self.cpu.instret;
         loop {
             if self.cpu.instret - start > max_instructions {
@@ -257,9 +280,11 @@ impl UserRunner {
                     limit: max_instructions,
                 });
             }
-            if let UserStep::Exited(code) = self.step(os)? {
+            let step = self.step(os)?;
+            if let UserStep::Exited(code) = step {
                 return Ok((code, self.cpu.instret - start));
             }
+            observe(&mut self.cpu, &self.bus, &step);
         }
     }
 

@@ -1,4 +1,18 @@
 //! Set-associative caches with LRU replacement.
+//!
+//! The model sits on the timing model's hottest path: every fetch and
+//! every load or store accesses a cache. Geometry is a power of two, so a
+//! line, its set and its tag come from shifts and masks, and all ways live
+//! in one flat set-major array.
+//!
+//! Consecutive accesses mostly touch the same line (straight-line fetch,
+//! walking an array), so the cache remembers where the last accessed line
+//! sits and answers a repeat from there. That path is exact: the last
+//! accessed line is resident (nothing has been filled since, and `flush`
+//! forgets it), and it is already the most recently used way of its set,
+//! so stamping it with the new tick changes no later victim choice. It
+//! updates `tick`, the way's LRU stamp and the statistics exactly as the
+//! set walk would.
 
 use crate::config::CacheConfig;
 
@@ -43,7 +57,17 @@ struct Way {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    /// Every way, set-major: set `s` is `ways[s * assoc..(s + 1) * assoc]`.
+    ways: Vec<Way>,
+    assoc: usize,
+    /// `log2(line_bytes)`: address to line number.
+    line_shift: u32,
+    /// `log2(sets)`: line number to tag.
+    set_shift: u32,
+    /// `sets - 1`: line number to set index.
+    set_mask: u64,
+    /// The last accessed line and the index in `ways` of the way holding it.
+    last: Option<(u64, usize)>,
     tick: u64,
     stats: CacheStats,
 }
@@ -61,19 +85,20 @@ impl Cache {
             "line size must be a power of two"
         );
         assert!(config.ways > 0, "cache needs at least one way");
+        let assoc = config.ways as usize;
+        let empty = Way {
+            tag: 0,
+            valid: false,
+            lru: 0,
+        };
         Cache {
             config,
-            sets: vec![
-                vec![
-                    Way {
-                        tag: 0,
-                        valid: false,
-                        lru: 0
-                    };
-                    config.ways as usize
-                ];
-                config.sets as usize
-            ],
+            ways: vec![empty; config.sets as usize * assoc],
+            assoc,
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: config.sets.trailing_zeros(),
+            set_mask: config.sets as u64 - 1,
+            last: None,
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -93,33 +118,44 @@ impl Cache {
     pub fn access(&mut self, addr: u64) -> Access {
         self.tick += 1;
         self.stats.accesses += 1;
-        let line = addr / self.config.line_bytes as u64;
-        let set_idx = (line % self.config.sets as u64) as usize;
-        let tag = line / self.config.sets as u64;
-        let set = &mut self.sets[set_idx];
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.lru = self.tick;
-            return Access::Hit;
+        let line = addr >> self.line_shift;
+        if let Some((last_line, i)) = self.last {
+            if last_line == line {
+                self.ways[i].lru = self.tick;
+                return Access::Hit;
+            }
         }
-        self.stats.misses += 1;
-        // Fill the invalid or least-recently-used way.
-        let victim = set
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.lru } else { 0 })
-            .expect("ways > 0");
-        victim.tag = tag;
-        victim.valid = true;
-        victim.lru = self.tick;
-        Access::Miss
+        let base = (line & self.set_mask) as usize * self.assoc;
+        let tag = line >> self.set_shift;
+        let set = &mut self.ways[base..base + self.assoc];
+        let (i, access) = match set.iter().position(|w| w.valid && w.tag == tag) {
+            Some(i) => (i, Access::Hit),
+            None => {
+                self.stats.misses += 1;
+                // Fill the invalid or least-recently-used way (the first
+                // one on a tie).
+                let victim = set
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, w)| if w.valid { w.lru } else { 0 })
+                    .map(|(i, _)| i)
+                    .expect("ways > 0");
+                set[victim].tag = tag;
+                set[victim].valid = true;
+                (victim, Access::Miss)
+            }
+        };
+        set[i].lru = self.tick;
+        self.last = Some((line, base + i));
+        access
     }
 
     /// Invalidates all lines (keeps statistics).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for way in set {
-                way.valid = false;
-            }
+        for way in &mut self.ways {
+            way.valid = false;
         }
+        self.last = None;
     }
 }
 

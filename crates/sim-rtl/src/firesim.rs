@@ -3,15 +3,24 @@
 //! Runs FireMarshal workloads cycle-exactly: the same boot model and the
 //! same guest binaries as the functional simulators, with a
 //! [`Pipeline`] timing every retired instruction.
+//!
+//! Neither timed path has a step loop of its own. Linux jobs (through
+//! [`TimedExecutor`]) and bare-metal nodes ([`FireSim::launch_bare`]) run
+//! on [`UserRunner::run_observed`], the loop the functional simulators
+//! use, and charge the pipeline from its observer. Budget exhaustion
+//! therefore means the same thing on every backend.
 
 use marshal_firmware::BootBinary;
 use marshal_image::FsImage;
+use marshal_isa::interp::{Cpu, RetireKind};
 use marshal_isa::MexeFile;
 use marshal_sim_functional::boot::simulate_linux;
 use marshal_sim_functional::checkpoint::BootSnapshot;
 use marshal_sim_functional::guest::{Executor, GuestOs};
-use marshal_sim_functional::machine::{LaunchMode, SimConfig, SimError, SimKind, SimResult};
-use marshal_sim_functional::syscall::{OsServices, UserRunner, UserStep};
+use marshal_sim_functional::machine::{
+    LaunchMode, SimConfig, SimError, SimKind, SimResult, WATCHDOG_EXIT_CODE,
+};
+use marshal_sim_functional::syscall::{OsServices, UserBus, UserRunner, UserStep};
 
 use crate::cache::CacheStats;
 use crate::config::HardwareConfig;
@@ -71,7 +80,38 @@ impl PerfReport {
     }
 }
 
-/// The timing executor: steps user programs and charges the pipeline.
+/// The run-loop observer that times a user program: charges each retired
+/// instruction or serviced syscall to `pipeline`, then writes the modelled
+/// cycle count back so the next `rdcycle` reads simulated time.
+///
+/// `remote` says whether loads and stores are checked against the guest's
+/// `mmap_remote` window; bare-metal nodes are timed without it.
+fn timing_observer(
+    pipeline: &mut Pipeline,
+    remote: bool,
+) -> impl FnMut(&mut Cpu, &UserBus, &UserStep) + '_ {
+    move |cpu, bus, step| {
+        match step {
+            UserStep::Retired(r) => {
+                let is_remote = remote
+                    && match r.kind {
+                        RetireKind::Load { addr } | RetireKind::Store { addr } => {
+                            bus.is_remote(addr)
+                        }
+                        _ => false,
+                    };
+                pipeline.retire(r, is_remote);
+            }
+            UserStep::Syscall { sys } => {
+                pipeline.syscall(*sys);
+            }
+            UserStep::Exited(_) => {}
+        }
+        cpu.cycle = pipeline.counters().cycles;
+    }
+}
+
+/// The timing executor: runs user programs and charges the pipeline.
 pub struct TimedExecutor {
     pipeline: Pipeline,
 }
@@ -99,41 +139,24 @@ impl Executor for TimedExecutor {
     ) -> Result<(i64, u64), SimError> {
         let budget = os.remaining_budget()?;
         let mut runner = UserRunner::new(exe, args)?;
-        let start_insts = runner.cpu.instret;
         let start_cycles = self.pipeline.counters().cycles;
-        loop {
-            let executed = runner.cpu.instret - start_insts;
-            if executed > budget {
+        // rdcycle observes modelled time from the first instruction on.
+        runner.cpu.cycle = start_cycles;
+        let run = runner.run_observed(os, budget, timing_observer(&mut self.pipeline, true));
+        let cycles = self.pipeline.counters().cycles - start_cycles;
+        match run {
+            Ok((code, insts)) => {
+                os.account(insts, cycles);
+                Ok((code, insts))
+            }
+            Err(SimError::Budget { limit }) => {
                 // Account the consumed budget so `remaining_budget()`
                 // reports exhaustion — the boot-flow watchdog relies on
                 // this to recognise a hung guest (see FunctionalExecutor).
-                let cycles = self.pipeline.counters().cycles - start_cycles;
                 os.account(budget, cycles);
-                return Err(SimError::Budget { limit: budget });
+                Err(SimError::Budget { limit })
             }
-            // Make rdcycle observe modelled time.
-            runner.cpu.cycle = self.pipeline.counters().cycles;
-            match runner.step(os)? {
-                UserStep::Retired(r) => {
-                    let is_remote = match r.kind {
-                        marshal_isa::interp::RetireKind::Load { addr }
-                        | marshal_isa::interp::RetireKind::Store { addr } => {
-                            runner.bus.is_remote(addr)
-                        }
-                        _ => false,
-                    };
-                    self.pipeline.retire(&r, is_remote);
-                }
-                UserStep::Syscall { sys } => {
-                    self.pipeline.syscall(sys);
-                }
-                UserStep::Exited(code) => {
-                    let insts = runner.cpu.instret - start_insts;
-                    let cycles = self.pipeline.counters().cycles - start_cycles;
-                    os.account(insts, cycles);
-                    return Ok((code, insts));
-                }
-            }
+            Err(e) => Err(e),
         }
     }
 }
@@ -180,8 +203,7 @@ impl FireSim {
         cfg
     }
 
-    fn report(&self, exec: &TimedExecutor) -> PerfReport {
-        let p = exec.pipeline();
+    fn report(&self, p: &Pipeline) -> PerfReport {
         PerfReport {
             config_name: self.hw.name.clone(),
             bpred: p.bpred_name(),
@@ -215,7 +237,7 @@ impl FireSim {
         let cfg = self.sim_config();
         let mut exec = TimedExecutor::new(&self.hw);
         let (result, captured) = simulate_linux(&cfg, boot, disk, mode, &mut exec, resume)?;
-        Ok((result, self.report(&exec), captured))
+        Ok((result, self.report(exec.pipeline()), captured))
     }
 
     /// Runs a bare-metal binary cycle-exactly.
@@ -249,31 +271,23 @@ impl FireSim {
         let mut os = BareOs {
             serial: format!("firesim: bare-metal node ({})\n", self.hw.name),
         };
-        let mut exec = TimedExecutor::new(&self.hw);
+        let mut pipeline = Pipeline::new(&self.hw);
         let mut runner = UserRunner::new(&exe, &[])?;
         runner.bus.enable_uart();
-        let (exit_code, instructions, timed_out) = loop {
-            if runner.cpu.instret > self.max_instructions {
-                // Watchdog: terminate the hung guest but salvage the
-                // serial log and performance report gathered so far.
-                break (
-                    marshal_sim_functional::machine::WATCHDOG_EXIT_CODE,
-                    runner.cpu.instret,
-                    true,
-                );
-            }
-            runner.cpu.cycle = exec.pipeline.counters().cycles;
-            match runner.step(&mut os)? {
-                UserStep::Retired(r) => {
-                    exec.pipeline.retire(&r, false);
-                }
-                UserStep::Syscall { sys } => {
-                    exec.pipeline.syscall(sys);
-                }
-                UserStep::Exited(code) => break (code, runner.cpu.instret, false),
-            }
+        let run = runner.run_observed(
+            &mut os,
+            self.max_instructions,
+            timing_observer(&mut pipeline, false),
+        );
+        let (exit_code, timed_out) = match run {
+            Ok((code, _)) => (code, false),
+            // Watchdog: terminate the hung guest but salvage the serial
+            // log and performance report gathered so far.
+            Err(SimError::Budget { .. }) => (WATCHDOG_EXIT_CODE, true),
+            Err(e) => return Err(e),
         };
-        let report = self.report(&exec);
+        let instructions = runner.cpu.instret;
+        let report = self.report(&pipeline);
         if timed_out {
             os.serial.push_str(&format!(
                 "firesim: watchdog: instruction budget exhausted ({} instructions); \
@@ -445,10 +459,7 @@ nofb:
         let exe = assemble("_start:\n j _start\n", abi::USER_BASE).unwrap();
         let sim = FireSim::new(HardwareConfig::rocket()).with_budget(1000);
         let (result, report) = sim.launch_bare(&exe.to_bytes()).unwrap();
-        assert_eq!(
-            result.exit_code,
-            marshal_sim_functional::machine::WATCHDOG_EXIT_CODE
-        );
+        assert_eq!(result.exit_code, WATCHDOG_EXIT_CODE);
         assert!(result.timed_out);
         // The budget check runs before each step, so the instruction that
         // crosses the budget retires (and is timed) before the watchdog fires.

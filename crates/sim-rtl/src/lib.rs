@@ -12,13 +12,15 @@
 //!   paper's SPEC2017 case study compares).
 //! - [`bpred`]: branch predictors — Gshare, TAGE, bimodal, static — plus a
 //!   return-address stack.
-//! - [`cache`]: set-associative I/D caches with LRU replacement.
+//! - [`cache`]: set-associative I/D caches with LRU replacement, indexed
+//!   by shift and mask, with an exact same-line fast path.
 //! - [`pipeline`]: the per-instruction timing model and performance
 //!   counters.
 //! - [`pfa`]: the Page Fault Accelerator model and its software-paging
 //!   baseline (the §IV-A case study).
 //! - [`nic`]: the RDMA NIC + network model the PFA fetches pages through.
-//! - [`firesim`]: the top-level driver.
+//! - [`firesim`]: the top-level driver; it times programs from an
+//!   observer on the functional runner's one run loop.
 //!
 //! Determinism is absolute: identical artifacts and configuration produce
 //! identical cycle counts, which is the property the paper's education case

@@ -6,6 +6,12 @@
 //! remote-memory faults). The same instruction stream the functional
 //! simulators execute is what gets timed — timing never changes
 //! architectural behaviour.
+//!
+//! The pipeline does not drive execution. `firesim`'s run-loop observer
+//! calls [`Pipeline::retire`] after each retired instruction and
+//! [`Pipeline::syscall`] after each serviced syscall. Every instruction
+//! fetch and every load or store accesses a [`Cache`], so cache accesses
+//! are the model's hottest path (see the `cache` module).
 
 use marshal_isa::inst::{Inst, Reg};
 use marshal_isa::interp::{RetireKind, Retired};

@@ -8,7 +8,7 @@ use marshal_qcheck::cases;
 use marshal_sim_rtl::bpred::{
     build_predictor, BimodalPredictor, DirectionPredictor, GsharePredictor, TagePredictor,
 };
-use marshal_sim_rtl::cache::{Access, Cache};
+use marshal_sim_rtl::cache::{Access, Cache, CacheStats};
 use marshal_sim_rtl::config::{BpredConfig, CacheConfig};
 use marshal_sim_rtl::pfa::{RemoteMemory, RemoteMode, RemoteTimings};
 
@@ -61,6 +61,112 @@ fn cache_deterministic() {
             c.stats()
         };
         assert_eq!(run(), run());
+    });
+}
+
+/// The set-associative LRU cache written the plain way: runtime divisions
+/// and one `Vec` per set. [`Cache`] must behave exactly like it.
+struct ReferenceCache {
+    line_bytes: u64,
+    sets: Vec<Vec<RefWay>>,
+    tick: u64,
+    stats: CacheStats,
+}
+
+#[derive(Clone)]
+struct RefWay {
+    tag: u64,
+    valid: bool,
+    lru: u64,
+}
+
+impl ReferenceCache {
+    fn new(config: CacheConfig) -> ReferenceCache {
+        let way = RefWay {
+            tag: 0,
+            valid: false,
+            lru: 0,
+        };
+        ReferenceCache {
+            line_bytes: config.line_bytes as u64,
+            sets: vec![vec![way; config.ways as usize]; config.sets as usize],
+            tick: 0,
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn access(&mut self, addr: u64) -> Access {
+        self.tick += 1;
+        self.stats.accesses += 1;
+        let line = addr / self.line_bytes;
+        let nsets = self.sets.len() as u64;
+        let set = &mut self.sets[(line % nsets) as usize];
+        let tag = line / nsets;
+        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
+            way.lru = self.tick;
+            return Access::Hit;
+        }
+        self.stats.misses += 1;
+        let victim = set
+            .iter_mut()
+            .min_by_key(|w| if w.valid { w.lru } else { 0 })
+            .expect("ways > 0");
+        *victim = RefWay {
+            tag,
+            valid: true,
+            lru: self.tick,
+        };
+        Access::Miss
+    }
+
+    fn flush(&mut self) {
+        for way in self.sets.iter_mut().flatten() {
+            way.valid = false;
+        }
+    }
+}
+
+/// The flat, shift-indexed cache with its same-line path returns the same
+/// hit or miss as the reference model on every access, and ends with the
+/// same statistics. Traces stress what the fast paths could get wrong:
+/// long runs within one line, lines that conflict for one set, and
+/// flushes in between.
+#[test]
+fn cache_matches_reference_model() {
+    cases(256, |rng| {
+        let config = CacheConfig {
+            sets: 1 << rng.range_u64(0, 6),
+            ways: rng.range_u64(1, 6) as u32,
+            line_bytes: 1 << rng.range_u64(0, 8),
+            hit_latency: 1,
+        };
+        let line = config.line_bytes as u64;
+        let set_stride = line * config.sets as u64;
+        let mut cache = Cache::new(config);
+        let mut reference = ReferenceCache::new(config);
+        let mut addr = rng.range_u64(0, 1 << 20);
+        for i in 0..rng.range_usize(1, 400) {
+            match rng.below(20) {
+                0 => {
+                    cache.flush();
+                    reference.flush();
+                    continue;
+                }
+                // Same line again.
+                1..=8 => addr = addr / line * line + rng.below(line),
+                // Another line of the same set.
+                9..=14 => addr = addr % set_stride + rng.below(8) * set_stride,
+                // A nearby line.
+                15..=17 => addr += line,
+                _ => addr = rng.range_u64(0, 1 << 20),
+            }
+            assert_eq!(
+                cache.access(addr),
+                reference.access(addr),
+                "{config:?}: access {i} to {addr:#x}"
+            );
+        }
+        assert_eq!(cache.stats(), reference.stats, "{config:?}");
     });
 }
 
