@@ -84,8 +84,9 @@ impl PerfReport {
 /// instruction or serviced syscall to `pipeline`, then writes the modelled
 /// cycle count back so the next `rdcycle` reads simulated time.
 ///
-/// `remote` says whether loads and stores are checked against the guest's
-/// `mmap_remote` window; bare-metal nodes are timed without it.
+/// `remote` says whether loads and stores in the guest's `mmap_remote`
+/// window are charged to the remote-memory model; bare-metal nodes are
+/// timed as local-only.
 fn timing_observer(
     pipeline: &mut Pipeline,
     remote: bool,
@@ -149,12 +150,12 @@ impl Executor for TimedExecutor {
                 os.account(insts, cycles);
                 Ok((code, insts))
             }
-            Err(SimError::Budget { limit }) => {
+            Err(e @ SimError::Budget { .. }) => {
                 // Account the consumed budget so `remaining_budget()`
                 // reports exhaustion — the boot-flow watchdog relies on
                 // this to recognise a hung guest (see FunctionalExecutor).
                 os.account(budget, cycles);
-                Err(SimError::Budget { limit })
+                Err(e)
             }
             Err(e) => Err(e),
         }
